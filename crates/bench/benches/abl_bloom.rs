@@ -7,7 +7,6 @@
 
 use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_kv::{LsmConfig, LsmStore};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -29,7 +28,7 @@ fn loaded_store(bloom_bits: usize, records: u64) -> LsmStore {
     s
 }
 
-fn report() {
+fn main() {
     bdb_bench::banner("ABL3", "Bloom filters on the LSM read path");
     let records = 50_000u64;
     let reads = 50_000u64;
@@ -60,26 +59,3 @@ fn report() {
     println!("{}", table.to_text());
     println!("Shape: with filters on, miss-heavy reads skip nearly every run\nprobe and get markedly faster; hit reads pay only the filter check.");
 }
-
-fn bench(c: &mut Criterion) {
-    report();
-    let mut group = c.benchmark_group("abl3_bloom_miss_reads");
-    for bits in [0usize, 10] {
-        group.bench_with_input(BenchmarkId::new("bloom_bits", bits), &bits, |b, &bits| {
-            let s = loaded_store(bits, 20_000);
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                black_box(s.get(&key(20_000 + i)))
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

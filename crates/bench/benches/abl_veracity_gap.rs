@@ -17,8 +17,6 @@ use bdb_datagen::veracity;
 use bdb_datagen::volume::VolumeSpec;
 use bdb_datagen::{DataGenerator, Dataset};
 use bdb_exec::reporter::{fmt_num, TableReporter};
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 use std::time::Instant;
 
 fn docs_of(gen: &dyn DataGenerator, n: u64) -> Vec<Document> {
@@ -28,7 +26,7 @@ fn docs_of(gen: &dyn DataGenerator, n: u64) -> Vec<Document> {
     }
 }
 
-fn report() {
+fn main() {
     bdb_bench::banner("ABL1", "veracity-preserving vs naive generation: quality + cost");
     let mut vocab = Vocabulary::new();
     let raw_docs: Vec<Document> = RAW_TEXT_CORPUS
@@ -126,39 +124,3 @@ fn report() {
     println!("{}", gt.to_text());
     println!("Shape: each step up the model hierarchy buys fidelity; the cost is\none-time training plus a modest generation-rate penalty.");
 }
-
-fn bench(c: &mut Criterion) {
-    report();
-    let lda = LdaModel::train(
-        &RAW_TEXT_CORPUS,
-        LdaConfig { iterations: 60, ..Default::default() },
-        42,
-    )
-    .expect("trains");
-    let naive = NaiveTextGenerator::from_corpus(&RAW_TEXT_CORPUS);
-    c.bench_function("abl1_generate_lda_500_docs", |b| {
-        b.iter(|| black_box(lda.generate(1, &VolumeSpec::Items(500)).expect("generates")));
-    });
-    c.bench_function("abl1_generate_naive_500_docs", |b| {
-        b.iter(|| black_box(naive.generate(1, &VolumeSpec::Items(500)).expect("generates")));
-    });
-    c.bench_function("abl1_train_lda_60_iters", |b| {
-        b.iter(|| {
-            black_box(
-                LdaModel::train(
-                    &RAW_TEXT_CORPUS,
-                    LdaConfig { iterations: 60, ..Default::default() },
-                    42,
-                )
-                .expect("trains"),
-            )
-        });
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

@@ -16,8 +16,6 @@ use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_metrics::platform::{PlatformProfile, PlatformStudy};
 use bdb_metrics::MetricReport;
 use bdb_workloads::{micro, oltp, search, social};
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 
 fn measured_workloads() -> Vec<MetricReport> {
     let mut rng = Xoshiro256::new(1);
@@ -51,7 +49,7 @@ fn measured_workloads() -> Vec<MetricReport> {
     ]
 }
 
-fn report() {
+fn main() {
     bdb_bench::banner(
         "EXT1",
         "heterogeneous platforms: projected duration/energy per workload",
@@ -87,19 +85,3 @@ fn report() {
     }
     println!("Question (2): accelerators take the compute-bound analytics\n(PageRank, k-means); the microserver is the energy pick for\ndata-movement-bound workloads (sort, WordCount, OLTP).");
 }
-
-fn bench(c: &mut Criterion) {
-    report();
-    let reports = measured_workloads();
-    let platforms = PlatformProfile::standard_set();
-    c.bench_function("ext1_platform_study", |b| {
-        b.iter(|| black_box(PlatformStudy::run(&reports, &platforms, 0.8)));
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

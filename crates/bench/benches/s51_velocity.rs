@@ -19,10 +19,9 @@ use bdb_datagen::text::lda::{LdaConfig, LdaModel};
 use bdb_datagen::text::NaiveTextGenerator;
 use bdb_datagen::velocity::{measure_rate, VelocityController};
 use bdb_exec::reporter::{fmt_num, TableReporter};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn report() {
+fn main() {
     bdb_bench::banner("S5.1a", "velocity control: parallel + algorithmic strategies");
     let gen = NaiveTextGenerator::from_corpus(&RAW_TEXT_CORPUS);
     // The scaling demo uses the LDA generator: its per-document cost is
@@ -116,23 +115,3 @@ fn report() {
     println!("{}", upd.to_text());
     println!("Shape: parallel speedup tracks min(workers, cores) — flat on a\n1-core container, near-linear on real hardware; throttled runs track\ntheir targets; the alias sampler beats the CDF scan (the Section 5.1\nmemory-for-speed lever); update frequency tracks its target.");
 }
-
-fn bench(c: &mut Criterion) {
-    report();
-    let gen = NaiveTextGenerator::from_corpus(&RAW_TEXT_CORPUS);
-    let mut group = c.benchmark_group("s51_parallel_generation");
-    for workers in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            let c = VelocityController::new(w).expect("valid").with_chunk_items(500);
-            b.iter(|| black_box(c.run(&gen, 1, 10_000).expect("runs")));
-        });
-    }
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

@@ -2,11 +2,9 @@
 //!
 //! The paper's proposed veracity metrics, computed for every data type:
 //! raw-vs-synthetic divergence for the model-based generator next to the
-//! naive baseline. Also benches the metric computations themselves
-//! (KL/JS/KS over realistic sizes).
+//! naive baseline.
 
 use bdb_common::prelude::*;
-use bdb_common::stats::{js_divergence, kl_divergence, ks_statistic};
 use bdb_common::text::Document;
 use bdb_datagen::corpus::{karate_club_graph, raw_retail_table, RAW_TEXT_CORPUS};
 use bdb_datagen::graph::{fit_rmat, ErdosRenyiGenerator};
@@ -18,8 +16,6 @@ use bdb_datagen::veracity;
 use bdb_datagen::volume::VolumeSpec;
 use bdb_datagen::{DataGenerator, Dataset};
 use bdb_exec::reporter::{fmt_num, TableReporter};
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 
 fn docs_of(gen: &dyn DataGenerator, seed: u64, n: u64) -> Vec<Document> {
     match gen.generate(seed, &VolumeSpec::Items(n)).expect("generates") {
@@ -28,7 +24,7 @@ fn docs_of(gen: &dyn DataGenerator, seed: u64, n: u64) -> Vec<Document> {
     }
 }
 
-fn report() {
+fn main() {
     bdb_bench::banner("S5.1b", "veracity metrics: model-based vs naive per data type");
     let mut table = TableReporter::new(
         "Raw-vs-synthetic divergence (lower = more faithful)",
@@ -119,33 +115,3 @@ fn report() {
     println!("{}", table.to_text());
     println!("Shape: for every data type the model-based generator scores a\nfraction of the naive baseline's divergence — the measurable version\nof Table 1's veracity column.");
 }
-
-fn bench(c: &mut Criterion) {
-    report();
-    // The metric kernels at realistic sizes.
-    let mut rng = Xoshiro256::new(3);
-    let p: Vec<f64> = (0..10_000).map(|_| rng.next_f64()).collect();
-    let q: Vec<f64> = (0..10_000).map(|_| rng.next_f64()).collect();
-    c.bench_function("s51_kl_divergence_10k", |b| {
-        b.iter(|| black_box(kl_divergence(&p, &q)));
-    });
-    c.bench_function("s51_js_divergence_10k", |b| {
-        b.iter(|| black_box(js_divergence(&p, &q)));
-    });
-    c.bench_function("s51_ks_statistic_10k", |b| {
-        b.iter(|| black_box(ks_statistic(&p, &q)));
-    });
-    let raw = raw_retail_table();
-    let fitted = TableGenerator::fit("retail", &raw).expect("fits");
-    let synth = fitted.generate_shard(3, 0, 512);
-    c.bench_function("s51_table_veracity_512", |b| {
-        b.iter(|| black_box(veracity::table_veracity(&raw, &synth).expect("same schema")));
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

@@ -8,10 +8,8 @@
 use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_testgen::arrival::{schedule, ArrivalProcess, ArrivalSpec};
 use bdb_workloads::hybrid::{run_hybrid, HybridConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 
-fn report() {
+fn main() {
     bdb_bench::banner("S5.2", "hybrid workloads with arrival patterns");
     let mut table = TableReporter::new(
         "Mix-ratio sweep (2000 ops, open-loop Poisson arrivals)",
@@ -58,33 +56,3 @@ fn report() {
     println!("{}", arrivals.to_text());
     println!("Shape: throughput drops as the analytics share grows (queries cost\n~1000x a point op) while each class's own latency stays flat; burstier\narrival processes show strictly larger gap variance at equal mean rate.");
 }
-
-fn bench(c: &mut Criterion) {
-    report();
-    let mut group = c.benchmark_group("s52_hybrid_mix");
-    for share in [0.9f64, 0.5] {
-        group.bench_with_input(
-            BenchmarkId::new("oltp_share", format!("{share}")),
-            &share,
-            |b, &share| {
-                let cfg = HybridConfig {
-                    oltp_weight: share,
-                    olap_weight: 1.0 - share,
-                    operations: 500,
-                    kv_records: 2_000,
-                    table_rows: 2_000,
-                    ..Default::default()
-                };
-                b.iter(|| black_box(run_hybrid(&cfg, 7).expect("runs")));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

@@ -83,8 +83,6 @@ pub struct HotpathConfig {
     pub loadgen_duration_ms: u64,
     /// Load-driver client sessions.
     pub loadgen_clients: usize,
-    /// Load-driver in-flight lanes per session.
-    pub loadgen_inflight: usize,
 }
 
 impl Default for HotpathConfig {
@@ -99,7 +97,6 @@ impl Default for HotpathConfig {
             lsm_ops: 50_000,
             loadgen_duration_ms: 400,
             loadgen_clients: 4,
-            loadgen_inflight: 8,
         }
     }
 }
@@ -199,7 +196,6 @@ pub fn run_hotpaths(cfg: &HotpathConfig) -> Result<BenchLedger> {
     };
     let load_profile = LoadProfile {
         clients: cfg.loadgen_clients,
-        inflight: cfg.loadgen_inflight,
         duration_ms: cfg.loadgen_duration_ms,
         ..LoadProfile::default()
     };

@@ -1,37 +1,24 @@
 //! `bdb-bench`: the statistical measurement subsystem plus the
-//! experiment benches.
-//!
-//! Two halves live here:
+//! paper-artifact reports.
 //!
 //! * The **statistical hot-path bench** behind `bdbench bench` —
 //!   [`sampling`] (warmup discard, N repeated samples, MAD outlier
 //!   classification, t-distribution 95% confidence intervals),
 //!   [`hotpaths`] (the ten measured hot paths), and [`ledger`] (the
 //!   committed `BENCH_N.json` perf-regression ledger and its
-//!   non-overlapping-CI significance comparison).
-//! * The **Criterion experiment benches** under `benches/`, each
-//!   regenerating one paper artifact (a table or figure; see the
-//!   experiment index in DESIGN.md): they print the paper-style rows
-//!   once and then let Criterion measure the hot kernels.
+//!   non-overlapping-CI significance comparison). It is the only timing
+//!   methodology in the workspace.
+//! * The **paper-artifact reports** under `benches/`, each a plain
+//!   `harness = false` program that regenerates one table or figure (see
+//!   the experiment index in DESIGN.md) and prints its paper-style
+//!   rows: `cargo bench -p bdb-bench --bench <name>`. Tables 1 and 2 come
+//!   from `bdbench table1` / `bdbench table2`.
 
 pub mod hotpaths;
 pub mod ledger;
 pub mod sampling;
 
-use criterion::Criterion;
-use std::time::Duration;
-
-/// A Criterion instance tuned for this suite: short measurement windows —
-//  the experiment *shapes* matter, not ±1% timing precision.
-pub fn criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(900))
-        .warm_up_time(Duration::from_millis(300))
-        .configure_from_args()
-}
-
-/// Print a banner naming the paper artifact a bench regenerates.
+/// Print a banner naming the paper artifact a report regenerates.
 pub fn banner(id: &str, what: &str) {
     println!("\n================================================================");
     println!("{id}: {what}");

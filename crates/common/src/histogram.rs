@@ -223,8 +223,10 @@ impl LogHistogram {
         self.max
     }
 
-    /// Approximate quantile: geometric midpoint of the bucket containing the
-    /// q-th sample.
+    /// Approximate quantile: the arithmetic midpoint `lo + (hi - lo) / 2` of
+    /// the power-of-two bucket `[lo, hi)` containing the q-th sample, so the
+    /// estimate can be off by up to half the bucket width. It is not clamped
+    /// to the observed `[min, max]`.
     pub fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.count == 0 {

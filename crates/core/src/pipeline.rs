@@ -685,7 +685,6 @@ mod tests {
     fn load_run_reports_every_selected_engine() {
         let profile = LoadProfile {
             clients: 2,
-            inflight: 4,
             duration_ms: 10,
             engines: Some(vec!["native".into(), "kv".into()]),
             ..LoadProfile::default()
@@ -711,7 +710,6 @@ mod tests {
     #[test]
     fn load_run_digest_is_client_count_invariant() {
         let base = LoadProfile {
-            inflight: 4,
             duration_ms: 10,
             engines: Some(vec!["native".into()]),
             ..LoadProfile::default()

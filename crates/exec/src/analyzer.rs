@@ -856,7 +856,6 @@ mod tests {
         let report = crate::loadgen::LoadReport {
             engine: "kv".into(),
             clients: 2,
-            inflight: 4,
             issued: 100,
             completed: 90,
             shed: 10,
@@ -875,8 +874,8 @@ mod tests {
             digest: "0x1".into(),
         };
         let events = vec![
-            TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 0, lanes: 4 },
-            TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 1, lanes: 4 },
+            TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 0 },
+            TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 1 },
             TraceEvent::LoadSessionFinished {
                 engine: "kv".into(),
                 session: 0,

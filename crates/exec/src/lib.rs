@@ -26,8 +26,8 @@
 //!   [`health::HealthStore`]; the router demotes open engines, dispatch
 //!   skips them, and the load driver's brownout controller sheds
 //!   proportionally while they recover.
-//! * [`loadgen`] — the concurrent load driver: N client sessions × M
-//!   in-flight ops, closed- and open-loop arrivals, bounded admission
+//! * [`loadgen`] — the concurrent load driver: N client sessions, one op
+//!   in flight each, closed- and open-loop arrivals, bounded admission
 //!   with shedding, tail-latency and saturation reporting.
 //! * [`engine`] — the pluggable engine abstraction: an [`engine::Engine`]
 //!   trait with declared [`engine::Capabilities`], five builtin engine

@@ -1,15 +1,15 @@
-//! Concurrent load driver: N client sessions × M in-flight operations.
+//! Concurrent load driver: N client sessions, each one op at a time.
 //!
 //! The paper's velocity axis ("heavy traffic from millions of users")
 //! needs engines measured under *sustained concurrent traffic*, not
 //! one-shot sequential cells. This module drives point ops against the
 //! registered engine substrates with two generator disciplines:
 //!
-//! * **Closed loop** — `clients` sessions each keep `inflight` operations
+//! * **Closed loop** — `clients` sessions each keep one operation
 //!   outstanding; the arrival rate emerges from service time. Workers
-//!   claim batches of `inflight` ops from a shared cursor, so the set of
-//!   issued operations is always a prefix of the deterministic schedule —
-//!   the issued-op digest is identical for 1 client and 8.
+//!   claim ops one at a time from a shared cursor, so the set of issued
+//!   operations is always a prefix of the deterministic schedule — the
+//!   issued-op digest is identical for 1 client and 8.
 //! * **Open loop** — arrival instants come from the seeded arrival
 //!   processes of [`bdb_testgen::arrival`] (Poisson or uniform). A pacer
 //!   thread walks the schedule on the wall clock and admits each op into
@@ -79,11 +79,15 @@ use std::time::{Duration, Instant};
 /// Keys in every target's preloaded working set.
 pub const KEYSPACE: u64 = 1024;
 
+/// Open-loop admission queue slots per client when
+/// [`LoadProfile::queue_capacity`] is unset.
+pub const DEFAULT_QUEUE_PER_CLIENT: usize = 8;
+
 /// How ops are admitted to the engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadArrival {
-    /// Closed loop: concurrency fixed at clients × inflight, rate
-    /// emerges from service time.
+    /// Closed loop: concurrency fixed at `clients`, rate emerges from
+    /// service time.
     Closed,
     /// Open loop, exponential inter-arrival gaps (Poisson process).
     Poisson {
@@ -148,14 +152,12 @@ impl std::str::FromStr for LoadArrival {
 pub struct LoadProfile {
     /// Concurrent client sessions per engine.
     pub clients: usize,
-    /// In-flight operations each session multiplexes.
-    pub inflight: usize,
     /// Run length used to size the op schedule, milliseconds.
     pub duration_ms: u64,
     /// Arrival discipline.
     pub arrival: LoadArrival,
     /// Bounded admission queue capacity for open-loop runs; `None`
-    /// defaults to `clients * inflight`.
+    /// defaults to [`DEFAULT_QUEUE_PER_CLIENT`] slots per client.
     pub queue_capacity: Option<usize>,
     /// Run every `sample_every`-th op's result through the conformance
     /// oracle.
@@ -169,7 +171,6 @@ impl Default for LoadProfile {
     fn default() -> Self {
         Self {
             clients: 4,
-            inflight: 8,
             duration_ms: 2000,
             arrival: LoadArrival::Closed,
             queue_capacity: None,
@@ -183,12 +184,10 @@ impl LoadProfile {
     /// Check the profile for nonsense values.
     ///
     /// # Errors
-    /// Fails on zero clients/inflight/sample rate or an empty duration.
+    /// Fails on zero clients/sample rate or an empty duration.
     pub fn validate(&self) -> Result<()> {
-        if self.clients == 0 || self.inflight == 0 {
-            return Err(BdbError::InvalidConfig(
-                "load profile needs at least 1 client and 1 in-flight op".into(),
-            ));
+        if self.clients == 0 {
+            return Err(BdbError::InvalidConfig("load profile needs at least 1 client".into()));
         }
         if self.duration_ms == 0 {
             return Err(BdbError::InvalidConfig("load duration must be > 0 ms".into()));
@@ -204,7 +203,7 @@ impl LoadProfile {
 
     /// The open-loop admission queue capacity.
     pub fn queue_cap(&self) -> usize {
-        self.queue_capacity.unwrap_or(self.clients * self.inflight)
+        self.queue_capacity.unwrap_or(self.clients * DEFAULT_QUEUE_PER_CLIENT)
     }
 }
 
@@ -654,8 +653,6 @@ pub struct LoadReport {
     pub engine: String,
     /// Client sessions driven.
     pub clients: usize,
-    /// In-flight ops per session.
-    pub inflight: usize,
     /// Ops the arrival clock issued (the whole schedule).
     pub issued: u64,
     /// Ops that executed to completion.
@@ -948,7 +945,6 @@ pub fn run_target_resilient(
     Ok(LoadReport {
         engine: target.name().to_string(),
         clients: profile.clients,
-        inflight: profile.inflight,
         issued: schedule.len() as u64,
         completed,
         shed,
@@ -968,10 +964,9 @@ pub fn run_target_resilient(
     })
 }
 
-/// Closed loop: each session claims batches of `inflight` ops from a
-/// shared cursor until the schedule drains. Claimed batches are
-/// contiguous, so the issued set is always a prefix of the schedule
-/// regardless of worker count or interleaving.
+/// Closed loop: each session claims one op at a time from a shared
+/// cursor until the schedule drains, so the issued set is always a
+/// prefix of the schedule regardless of worker count or interleaving.
 fn run_closed_loop(
     target: &dyn LoadTarget,
     profile: &LoadProfile,
@@ -989,22 +984,18 @@ fn run_closed_loop(
         trace.record(TraceEvent::LoadSessionStarted {
             engine: target.name().to_string(),
             session,
-            lanes: profile.inflight,
         });
         let s0 = Instant::now();
         let mut sess = target.session();
         let mut lane = LaneOut::new();
         loop {
-            let base = cursor.fetch_add(profile.inflight, Ordering::SeqCst);
-            if base >= schedule.len() {
+            let idx = cursor.fetch_add(1, Ordering::SeqCst);
+            if idx >= schedule.len() {
                 break;
             }
-            let end = (base + profile.inflight).min(schedule.len());
-            for idx in base..end {
-                let d0 = Instant::now();
-                record_op(&mut lane, sess.as_mut(), schedule, idx, profile.sample_every, d0, chaos);
-                completed_total.add(1);
-            }
+            let d0 = Instant::now();
+            record_op(&mut lane, sess.as_mut(), schedule, idx, profile.sample_every, d0, chaos);
+            completed_total.add(1);
         }
         trace.record(TraceEvent::LoadSessionFinished {
             engine: target.name().to_string(),
@@ -1161,7 +1152,6 @@ fn run_open_loop(
                 trace.record(TraceEvent::LoadSessionStarted {
                     engine: target.name().to_string(),
                     session,
-                    lanes: profile.inflight,
                 });
                 let s0 = Instant::now();
                 let mut sess = target.session();
@@ -1313,7 +1303,7 @@ mod tests {
     use super::*;
 
     fn quick_profile() -> LoadProfile {
-        LoadProfile { clients: 2, inflight: 4, duration_ms: 10, ..LoadProfile::default() }
+        LoadProfile { clients: 2, duration_ms: 10, ..LoadProfile::default() }
     }
 
     #[test]
@@ -1334,7 +1324,6 @@ mod tests {
     fn profile_validation() {
         assert!(LoadProfile::default().validate().is_ok());
         assert!(LoadProfile { clients: 0, ..LoadProfile::default() }.validate().is_err());
-        assert!(LoadProfile { inflight: 0, ..LoadProfile::default() }.validate().is_err());
         assert!(LoadProfile { duration_ms: 0, ..LoadProfile::default() }.validate().is_err());
         assert!(LoadProfile { sample_every: 0, ..LoadProfile::default() }.validate().is_err());
         assert!(LoadProfile { queue_capacity: Some(0), ..LoadProfile::default() }
@@ -1437,7 +1426,7 @@ mod tests {
             arrival: LoadArrival::Uniform { rate_per_sec: 2000.0 },
             duration_ms: 100,
             clients: 2,
-            inflight: 2,
+            queue_capacity: Some(4),
             ..LoadProfile::default()
         };
         let schedule = build_schedule(&p, 5).unwrap();
@@ -1477,7 +1466,6 @@ mod tests {
             arrival: LoadArrival::Uniform { rate_per_sec: 5000.0 },
             duration_ms: 60,
             clients: 1,
-            inflight: 1,
             queue_capacity: Some(1),
             ..LoadProfile::default()
         };
@@ -1531,7 +1519,7 @@ mod tests {
             arrival: LoadArrival::Uniform { rate_per_sec: 2000.0 },
             duration_ms: 100,
             clients: 2,
-            inflight: 2,
+            queue_capacity: Some(4),
             ..LoadProfile::default()
         };
         let drive = || {
@@ -1603,7 +1591,6 @@ mod tests {
             arrival: LoadArrival::Uniform { rate_per_sec: 5000.0 },
             duration_ms: 60,
             clients: 1,
-            inflight: 1,
             queue_capacity: Some(1),
             ..LoadProfile::default()
         };

@@ -175,10 +175,9 @@ pub fn render_trace(trace: &crate::trace::RunTrace) -> String {
                 journal.clone(),
                 format!("{completed} completed cells honoured"),
             ),
-            TraceEvent::LoadSessionStarted { engine, session, lanes } => (
-                format!("{engine}#{session}"),
-                format!("{lanes} in-flight lanes"),
-            ),
+            TraceEvent::LoadSessionStarted { engine, session } => {
+                (format!("{engine}#{session}"), "session started".to_string())
+            }
             TraceEvent::LoadSessionFinished { engine, session, completed, micros } => (
                 format!("{engine}#{session}"),
                 format!("{completed} ops, {micros} us"),
@@ -315,7 +314,7 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
     let mut t = TableReporter::new(
         "Load",
         &[
-            "engine", "clients", "inflight", "issued", "completed", "shed", "failed", "ops/s",
+            "engine", "clients", "issued", "completed", "shed", "failed", "ops/s",
             "p50 us", "p99 us", "p999 us", "conformance",
         ],
     );
@@ -323,7 +322,6 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
         t.add_row(&[
             r.engine.clone(),
             r.clients.to_string(),
-            r.inflight.to_string(),
             r.issued.to_string(),
             r.completed.to_string(),
             r.shed.to_string(),
@@ -655,7 +653,6 @@ mod tests {
         let report = crate::loadgen::LoadReport {
             engine: "kv".into(),
             clients: 4,
-            inflight: 8,
             issued: 1000,
             completed: 950,
             shed: 50,
@@ -694,7 +691,6 @@ mod tests {
         let report = crate::loadgen::LoadReport {
             engine: "kv".into(),
             clients: 4,
-            inflight: 8,
             issued: 1000,
             completed: 930,
             shed: 50,
@@ -755,7 +751,7 @@ mod tests {
     fn trace_renders_load_events() {
         use crate::trace::{RunTrace, TraceEvent};
         let trace = RunTrace::new();
-        trace.record(TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 2, lanes: 8 });
+        trace.record(TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 2 });
         trace.record(TraceEvent::LoadSessionFinished {
             engine: "kv".into(),
             session: 2,
@@ -766,7 +762,7 @@ mod tests {
         let text = render_trace(&trace);
         assert!(text.contains("load_session_started"));
         assert!(text.contains("kv#2"));
-        assert!(text.contains("8 in-flight lanes"));
+        assert!(text.contains("session started"));
         assert!(text.contains("321 ops"));
         assert!(text.contains("9 ops shed"));
     }

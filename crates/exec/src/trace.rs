@@ -150,8 +150,6 @@ pub enum TraceEvent {
         engine: String,
         /// Session index (0-based within the engine's run).
         session: usize,
-        /// In-flight operation lanes the session multiplexes.
-        lanes: usize,
     },
     /// A load-driver client session quiesced.
     LoadSessionFinished {
@@ -508,7 +506,7 @@ mod tests {
     #[test]
     fn load_events_serialize_and_classify() {
         let events = vec![
-            TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 0, lanes: 8 },
+            TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 0 },
             TraceEvent::LoadSessionFinished {
                 engine: "kv".into(),
                 session: 0,

@@ -25,12 +25,11 @@ use crate::bloom::BloomFilter;
 use crate::manifest::{self, Manifest};
 use crate::wal::{Wal, WalRecord};
 use bdb_common::{BdbError, Result};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Raw byte key.
 pub type Key = Vec<u8>;
@@ -600,6 +599,9 @@ fn parse_epoch(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
 
 /// A thread-safe handle: the store behind an `Arc<RwLock>`, matching how
 /// multi-threaded OLTP drivers share a store.
+///
+/// The lock does not poison: after a thread panics while holding it, every
+/// other handle keeps reading and writing the store.
 #[derive(Debug, Clone, Default)]
 pub struct SharedLsm {
     inner: Arc<RwLock<LsmStore>>,
@@ -611,41 +613,49 @@ impl SharedLsm {
         Self { inner: Arc::new(RwLock::new(LsmStore::with_config(config))) }
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, LsmStore> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, LsmStore> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Insert or overwrite.
     pub fn put(&self, key: Key, value: Val) {
-        self.inner.write().put(key, value);
+        self.write().put(key, value);
     }
 
     /// Point lookup. Takes the *read* lock: any number of concurrent
     /// readers proceed in parallel and only writers (put/delete, and the
     /// flushes/compactions they trigger) exclude them.
     pub fn get(&self, key: &[u8]) -> Option<Val> {
-        self.inner.read().get(key)
+        self.read().get(key)
     }
 
     /// Delete.
     pub fn delete(&self, key: Key) {
-        self.inner.write().delete(key);
+        self.write().delete(key);
     }
 
     /// Range scan, under the read lock like [`Self::get`].
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Key, Val)> {
-        self.inner.read().scan(start, end, limit)
+        self.read().scan(start, end, limit)
     }
 
     /// Freeze the memtable into a run (exclusive, like writes).
     pub fn flush(&self) {
-        self.inner.write().flush();
+        self.write().flush();
     }
 
     /// Number of immutable runs.
     pub fn run_count(&self) -> usize {
-        self.inner.read().run_count()
+        self.read().run_count()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> KvStats {
-        self.inner.read().stats()
+        self.read().stats()
     }
 }
 
@@ -949,6 +959,29 @@ mod tests {
         s2.delete(b"a".to_vec());
         assert_eq!(s.get(b"a"), None);
         assert!(s.stats().writes >= 2);
+    }
+
+    #[test]
+    fn shared_store_survives_a_poisoned_lock() {
+        let s = SharedLsm::default();
+        s.put(b"a".to_vec(), b"1".to_vec());
+        let holder = s.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.write();
+            panic!("writer dies holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(s.inner.is_poisoned(), "the panic must poison the std lock");
+
+        s.put(b"b".to_vec(), b"2".to_vec());
+        assert_eq!(s.get(b"a"), Some(b"1".to_vec()));
+        assert_eq!(s.get(b"b"), Some(b"2".to_vec()));
+        assert_eq!(s.scan(b"", None, 10).len(), 2);
+        let st = s.stats();
+        assert_eq!(st.writes, 2);
+        assert_eq!(st.reads, 2);
+        assert_eq!(st.scans, 1);
     }
 
     #[test]

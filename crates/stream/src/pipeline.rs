@@ -1,16 +1,16 @@
 //! Threaded stream pipelines with bounded channels.
 //!
 //! Each stage runs on its own thread; stages are connected by bounded
-//! crossbeam channels, so a slow stage backpressures its upstream exactly
-//! as in a real streaming system. [`Pipeline::run`] replays the input as
-//! fast as possible (measuring sustainable processing rate);
+//! `std::sync::mpsc` channels, so a slow stage backpressures its upstream
+//! exactly as in a real streaming system. [`Pipeline::run`] replays the
+//! input as fast as possible (measuring sustainable processing rate);
 //! [`Pipeline::run_paced`] replays at a target arrival rate and measures
 //! the processing lag behind the source — the "keep up with arriving
 //! speed" test of the paper's velocity discussion.
 
 use crate::window::{WindowAggregate, WindowSpec, Windower};
 use bdb_common::event::Event;
-use crossbeam::channel::bounded;
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 enum Stage {
@@ -104,12 +104,14 @@ impl Pipeline {
     }
 
     fn execute(self, events: Vec<Event>, pace: Option<f64>) -> RunOutcome {
-        let cap = self.channel_capacity;
+        // At least one slot: a zero-capacity `sync_channel` is a rendezvous
+        // channel, which would turn backpressure into lock-step hand-offs.
+        let cap = self.channel_capacity.max(1);
         let events_in = events.len() as u64;
         let start = Instant::now();
 
         // source → first channel
-        let (src_tx, mut cur_rx) = bounded::<(Event, Instant)>(cap);
+        let (src_tx, mut cur_rx) = sync_channel::<(Event, Instant)>(cap);
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for (i, e) in events.into_iter().enumerate() {
@@ -133,7 +135,7 @@ impl Pipeline {
 
             // stage threads
             for stage in self.stages {
-                let (tx, rx) = bounded::<(Event, Instant)>(cap);
+                let (tx, rx) = sync_channel::<(Event, Instant)>(cap);
                 let input = cur_rx;
                 scope.spawn(move || {
                     match stage {

@@ -10,7 +10,7 @@ use crate::{WorkloadCategory, WorkloadResult};
 use bdb_common::prelude::*;
 use bdb_kv::{LsmConfig, SharedLsm};
 use bdb_metrics::{MetricsCollector, OpCounts};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One YCSB-style operation mix.
@@ -187,7 +187,7 @@ pub fn run_ycsb(
                     }
                     local.record_latency(t0.elapsed());
                 }
-                let mut guard = totals.lock();
+                let mut guard = totals.lock().unwrap_or_else(PoisonError::into_inner);
                 guard.0.merge(&local);
                 guard.1.reads += counts.reads;
                 guard.1.updates += counts.updates;
@@ -198,7 +198,7 @@ pub fn run_ycsb(
             });
         }
     });
-    let (latencies, counts) = totals.into_inner();
+    let (latencies, counts) = totals.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut merged = collector;
     merged.merge(&latencies);
     let user = merged.finish();

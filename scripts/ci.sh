@@ -111,7 +111,7 @@ echo "== load smoke (concurrent driver, seeded) =="
 # sampled-result oracle check must pass (zero divergences — a diverged
 # run exits nonzero).
 load_out=$(mktemp)
-./target/release/bdbench load --clients 4 --inflight 8 --duration-ms 2000 --seed 42 \
+./target/release/bdbench load --clients 4 --duration-ms 2000 --seed 42 \
     >"$load_out" || { echo "load smoke: drive failed or diverged"; cat "$load_out"; exit 1; }
 grep -q "verdict: CONFORMANT" "$load_out" \
     || { echo "load smoke: expected a CONFORMANT verdict"; cat "$load_out"; exit 1; }
@@ -131,13 +131,13 @@ echo "== chaos load smoke (breakers + chaos under load, seeded) =="
 # identical chaos accounting and the identical issued-op digest.
 chaos_a=$(mktemp); chaos_b=$(mktemp)
 for out in "$chaos_a" "$chaos_b"; do
-    ./target/release/bdbench load --clients 2 --inflight 2 --duration-ms 300 \
+    ./target/release/bdbench load --clients 2 --duration-ms 300 \
         --engine native --seed 42 --faults "error@exec:0.4" --retries 1 >"$out" \
         || { echo "chaos load smoke: drive failed or diverged"; cat "$out"; exit 1; }
     grep -q "verdict: CONFORMANT" "$out" \
         || { echo "chaos load smoke: expected CONFORMANT"; cat "$out"; exit 1; }
 done
-read -r issued completed shed failed <<<"$(awk '$1=="native" && NF>10 {print $4, $5, $6, $7}' "$chaos_a")"
+read -r issued completed shed failed <<<"$(awk '$1=="native" && NF>10 {print $3, $4, $5, $6}' "$chaos_a")"
 if [ -z "$failed" ] || [ "$failed" -lt 1 ]; then
     echo "chaos load smoke: expected failed ops under chaos"; cat "$chaos_a"; exit 1
 fi
@@ -154,7 +154,7 @@ echo "chaos load smoke: conserved $issued ops ($completed completed, $failed fai
 # Open-loop breaker lifecycle: a 30% error rate under uniform arrivals
 # must trip the native breaker at least once, and the seeded probe
 # sequence must have recovered it (closed) by quiesce.
-./target/release/bdbench load --clients 2 --inflight 2 --duration-ms 300 \
+./target/release/bdbench load --clients 2 --queue-cap 4 --duration-ms 300 \
     --engine native --seed 42 --arrival uniform:2000 \
     --faults "error@exec:0.3" --retries 0 >"$chaos_a" \
     || { echo "chaos load smoke: open-loop drive failed"; cat "$chaos_a"; exit 1; }
@@ -174,23 +174,26 @@ echo "== bench gate (sampled hot paths vs committed baseline) =="
 # A statistically significant regression — non-overlapping 95% CIs AND
 # ≥50% effect — fails the build. The wide min-effect floor keeps the gate
 # non-flaky on shared CI machines (observed run-to-run drift is ≲15%);
-# it catches algorithmic regressions, not micro-noise.
+# it catches algorithmic regressions, not micro-noise. The run writes to
+# a scratch ledger so the committed BENCH_9.json is never rewritten.
 bench_out=$(mktemp)
-./scripts/bench.sh BENCH_9.json --samples 5 --compare BENCH_8.json \
+bench_dir=$(mktemp -d)
+bench_ledger="$bench_dir/BENCH.json"
+./scripts/bench.sh "$bench_ledger" --samples 5 --compare BENCH_8.json \
     --gate original --min-effect 0.5 --fail-on-regression >"$bench_out" \
     || { echo "bench gate: significant perf regression"; cat "$bench_out"; exit 1; }
 for path in datagen_parallel_items dispatch_route_all window_pipeline_events \
             behavioral_sessionize_events lsm_put_ops lsm_get_ops \
             loadgen_saturation_kv loadgen_saturation_sql loadgen_saturation_native \
             loadgen_saturation_streaming; do
-    grep -q "\"name\":\"$path\"" BENCH_9.json \
-        || { echo "bench gate: $path missing from BENCH_9.json"; exit 1; }
+    grep -q "\"name\":\"$path\"" "$bench_ledger" \
+        || { echo "bench gate: $path missing from the ledger"; exit 1; }
 done
-grep -q '"ci_lo"' BENCH_9.json \
+grep -q '"ci_lo"' "$bench_ledger" \
     || { echo "bench gate: ledger must carry 95% CI bounds"; exit 1; }
-grep -q '"p99_us"' BENCH_9.json \
+grep -q '"p99_us"' "$bench_ledger" \
     || { echo "bench gate: loadgen samples must report p99_us"; exit 1; }
-rm -f "$bench_out"
+rm -rf "$bench_out" "$bench_dir"
 echo "bench gate: ten hot paths sampled, five originals within baseline CIs"
 
 echo "CI gate passed."

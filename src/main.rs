@@ -19,7 +19,7 @@
 //!                                      # --passes > 1 reruns the sweep sharing
 //!                                      # observed costs across passes
 //! bdbench load [opts]                  # concurrent load driver
-//!     --clients <n>  --inflight <m>    # N sessions × M in-flight lanes
+//!     --clients <n>                    # N sessions, one op in flight each
 //!     --duration-ms <n>  --seed <n>
 //!     --arrival <closed|poisson:R|uniform:R>
 //!     --engine <name>                  # repeatable; default: kv,sql,native
@@ -63,7 +63,7 @@ use bdbench::verify::VerifyMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list [--costs]\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--routing first-capable|cost|adaptive] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--routing P] [--passes N] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench bench [--samples N] [--warmup N] [--out PATH] [--compare PATH] [--against PATH] [--min-effect F] [--gate LIST|original] [--fail-on-regression] [--duration-ms D] [--seed N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
+        "usage:\n  bdbench list [--costs]\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--routing first-capable|cost|adaptive] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--routing P] [--passes N] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench bench [--samples N] [--warmup N] [--out PATH] [--compare PATH] [--against PATH] [--min-effect F] [--gate LIST|original] [--fail-on-regression] [--duration-ms D] [--seed N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
     );
     std::process::exit(2)
 }
@@ -435,14 +435,13 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
     }
 }
 
-/// `bdbench load`: drive N concurrent clients × M in-flight lanes
+/// `bdbench load`: drive N concurrent client sessions
 /// against the built-in engines and report tail latency + saturation.
 fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     let (positional, opts) = parse_opts(
         args,
         &[
             "clients",
-            "inflight",
             "duration-ms",
             "arrival",
             "engine",
@@ -465,7 +464,6 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     }
     let mut profile = LoadProfile::default();
     profile.clients = opt_u64(&opts, "clients", profile.clients as u64) as usize;
-    profile.inflight = opt_u64(&opts, "inflight", profile.inflight as u64) as usize;
     profile.duration_ms = opt_u64(&opts, "duration-ms", profile.duration_ms);
     profile.sample_every = opt_u64(&opts, "sample-every", profile.sample_every as u64) as usize;
     if let Some(arrival) = opts.get("arrival") {

@@ -230,7 +230,6 @@ fn kv_p99_ci(samples: usize) -> PathCi {
     let registry = EngineRegistry::with_builtins();
     let profile = LoadProfile {
         clients: 2,
-        inflight: 4,
         duration_ms: 80,
         engines: Some(vec!["kv".into()]),
         ..LoadProfile::default()

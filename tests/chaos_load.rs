@@ -15,7 +15,6 @@ use bdbench::exec::trace::RunTrace;
 fn profile(duration_ms: u64) -> LoadProfile {
     LoadProfile {
         clients: 2,
-        inflight: 2,
         duration_ms,
         engines: Some(vec!["native".into()]),
         ..LoadProfile::default()
@@ -117,6 +116,7 @@ fn open_loop_chaos_trips_breakers_deterministically() {
             .with_load(LoadProfile {
                 arrival: LoadArrival::Uniform { rate_per_sec: 2000.0 },
                 duration_ms: 100,
+                queue_capacity: Some(4),
                 ..profile(100)
             })
     };

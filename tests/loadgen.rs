@@ -17,7 +17,6 @@ use bdbench::kv::lsm::LsmConfig;
 fn profile(clients: usize, duration_ms: u64) -> LoadProfile {
     LoadProfile {
         clients,
-        inflight: 4,
         duration_ms,
         engines: Some(vec!["native".into()]),
         ..LoadProfile::default()
@@ -81,7 +80,6 @@ fn open_loop_conserves_and_sheds_under_an_undersized_queue() {
     // every arrival is accounted for: issued == completed + shed.
     let p = LoadProfile {
         clients: 2,
-        inflight: 1,
         duration_ms: 80,
         arrival: LoadArrival::Uniform { rate_per_sec: 20_000.0 },
         queue_capacity: Some(1),
@@ -112,7 +110,6 @@ fn kv_readers_progress_while_load_induces_flushes() {
     });
     let p = LoadProfile {
         clients: 4,
-        inflight: 4,
         duration_ms: 40,
         engines: Some(vec!["kv".into()]),
         ..LoadProfile::default()
