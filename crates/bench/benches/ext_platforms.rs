@@ -12,10 +12,11 @@ use bdb_datagen::graph::RmatGenerator;
 use bdb_datagen::text::NaiveTextGenerator;
 use bdb_datagen::volume::VolumeSpec;
 use bdb_datagen::{DataGenerator, Dataset};
+use bdb_exec::loadgen::{drive_ycsb, OpMix};
 use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_metrics::platform::{PlatformProfile, PlatformStudy};
 use bdb_metrics::MetricReport;
-use bdb_workloads::{micro, oltp, search, social};
+use bdb_workloads::{micro, search, social};
 
 fn measured_workloads() -> Vec<MetricReport> {
     let mut rng = Xoshiro256::new(1);
@@ -27,17 +28,9 @@ fn measured_workloads() -> Vec<MetricReport> {
     };
     let graph = RmatGenerator::standard(8.0).generate_graph(1, 12);
     let (points, _) = social::gaussian_mixture(20_000, 5, 8, 2.0, 1);
-    let ycsb = oltp::run_ycsb(
-        &oltp::YcsbSpec::b(),
-        &oltp::YcsbConfig {
-            record_count: 5_000,
-            operation_count: 10_000,
-            clients: 2,
-            value_size: 64,
-        },
-        1,
-    )
-    .2;
+    let ycsb = drive_ycsb("B", &OpMix { records: 5_000, ..OpMix::YCSB_B }, 10_000, 2, 1)
+        .expect("ycsb drive")
+        .1;
     vec![
         micro::sort_native(&keys).1.report,
         micro::wordcount_native(&docs).1.report,

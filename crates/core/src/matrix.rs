@@ -36,10 +36,6 @@ use bdb_testgen::{PrescriptionRepository, SystemKind};
 use bdb_verify::{GoldenStore, VerifyMode};
 use std::sync::Arc;
 
-/// Engine threads pinned for matrix runs, keeping KV client sharding —
-/// and therefore Element-class golden digests — machine-independent.
-pub const MATRIX_THREADS: usize = 4;
-
 /// One verified (prescription, engine) cell.
 #[derive(Debug, Clone)]
 pub struct MatrixCell {
@@ -292,7 +288,7 @@ pub fn verify_matrix_routed(
                 .copied()
                 .unwrap_or(SystemKind::Native);
             let mut bench = Benchmark::new();
-            let mut config = SystemConfig::default().with_threads(MATRIX_THREADS);
+            let mut config = SystemConfig::default();
             for (key, value) in &routing.parameters {
                 config = config.with_parameter(key, value);
             }

@@ -8,6 +8,7 @@ use bdb_core::pipeline::{Benchmark, BenchmarkRun};
 use bdb_exec::engine::{
     Capabilities, Engine, EngineRegistry, ExecutionRequest, NativeEngine,
 };
+use bdb_exec::fault::Resilience;
 use bdb_exec::planner::RoutingPolicy;
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_exec::SystemConfig;
@@ -176,7 +177,10 @@ fn empty_registry_reports_the_absence_of_candidates() {
         trace: &trace,
         routing: bdb_exec::planner::RoutingPolicy::default(),
     };
-    let err = EngineRegistry::new().dispatch(&request).unwrap_err().to_string();
+    let err = EngineRegistry::new()
+        .dispatch_resilient(&request, &Resilience::passive(0))
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("no engine"), "unexpected error: {err}");
 }
 
@@ -184,8 +188,8 @@ fn empty_registry_reports_the_absence_of_candidates() {
 fn sql_and_mapreduce_agree_on_relational_output() {
     // The functional contract behind Table 2's cross-engine rows: the
     // same prescription executed by the SQL and MapReduce engines must
-    // produce identical sorted output, observable through the canonical
-    // output hash each engine reports.
+    // produce identical sorted output, observable through the digest of
+    // the canonical payload each engine reports.
     for name in ["micro/sort", "relational/select-aggregate", "relational/join",
                  "ecommerce/collaborative-filtering", "ecommerce/naive-bayes"] {
         let sql = run(name, SystemKind::Sql);
@@ -197,12 +201,9 @@ fn sql_and_mapreduce_agree_on_relational_output() {
             mr.results[0].detail("output_rows"),
             "{name}: row counts diverge"
         );
-        assert_eq!(
-            sql.results[0].detail("output_hash"),
-            mr.results[0].detail("output_hash"),
-            "{name}: sorted output diverges"
-        );
-        assert!(sql.results[0].detail("output_hash").is_some());
+        let digest = |run: &BenchmarkRun| run.results[0].output.as_ref().map(|o| o.digest());
+        assert!(digest(&sql).is_some(), "{name}: sql reports no payload");
+        assert_eq!(digest(&sql), digest(&mr), "{name}: sorted output diverges");
     }
 }
 

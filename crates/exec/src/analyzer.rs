@@ -872,6 +872,7 @@ mod tests {
             sampled: 7,
             conformance_passed: true,
             digest: "0x1".into(),
+            latency: Default::default(),
         };
         let events = vec![
             TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 0 },

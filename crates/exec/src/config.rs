@@ -1,9 +1,9 @@
 //! System configuration tools.
 //!
 //! A [`SystemConfig`] carries everything needed to run a prescribed test
-//! on one engine: concurrency, memory budget, and free-form engine
-//! parameters. A [`SoftwareStack`] names the stack a test runs on —
-//! Table 2's "software stacks" column — so reports can attribute results.
+//! on one engine: concurrency and free-form engine parameters. A
+//! [`SoftwareStack`] names the stack a test runs on — Table 2's "software
+//! stacks" column — so reports can attribute results.
 
 use bdb_common::{BdbError, Result};
 use serde::{Deserialize, Serialize};
@@ -19,8 +19,6 @@ pub struct SystemConfig {
     /// generation and execution are different phases with different
     /// scaling behaviour.
     pub generator_workers: usize,
-    /// Memory budget in bytes the engine should respect.
-    pub memory_budget_bytes: usize,
     /// Engine-specific free-form parameters.
     pub parameters: BTreeMap<String, String>,
 }
@@ -30,7 +28,6 @@ impl Default for SystemConfig {
         Self {
             threads: 0,
             generator_workers: 1,
-            memory_budget_bytes: 256 << 20,
             parameters: BTreeMap::new(),
         }
     }
@@ -46,12 +43,6 @@ impl SystemConfig {
     /// Set the data-generation worker count (0 = available parallelism).
     pub fn with_generator_workers(mut self, workers: usize) -> Self {
         self.generator_workers = workers;
-        self
-    }
-
-    /// Set the memory budget.
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget_bytes = bytes;
         self
     }
 
@@ -176,11 +167,9 @@ mod tests {
         let c = SystemConfig::default()
             .with_threads(8)
             .with_generator_workers(4)
-            .with_memory_budget(1 << 20)
             .with_parameter("reduce_tasks", "16");
         assert_eq!(c.effective_threads(), 8);
         assert_eq!(c.generator_workers, 4);
-        assert_eq!(c.memory_budget_bytes, 1 << 20);
         assert_eq!(c.parameter::<usize>("reduce_tasks").unwrap(), 16);
     }
 

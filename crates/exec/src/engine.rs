@@ -18,8 +18,6 @@
 //! earlier in the run). Adding a backend is a registry entry, not a
 //! pipeline edit.
 //!
-//! Dispatch comes in two strengths: [`EngineRegistry::dispatch`] runs the
-//! routed engine once and propagates its error, while
 //! [`EngineRegistry::dispatch_resilient`] wraps each candidate engine in
 //! the [`crate::fault`] retry loop (seeded fault injection, jittered
 //! backoff, per-operation deadline) and fails over to the next capable
@@ -29,6 +27,7 @@
 use crate::config::SystemConfig;
 use crate::cost::ObservedCosts;
 use crate::fault::{self, FaultSite, Resilience};
+use crate::loadgen::{self, OpClass, OpMix};
 use crate::planner::{Ranked, Router, RoutingPolicy, Score};
 use crate::trace::RunTrace;
 use bdb_common::record::Table;
@@ -42,8 +41,7 @@ use bdb_testgen::ops::{AggSpec, Operation};
 use bdb_testgen::pattern::WorkloadPattern;
 use bdb_testgen::{Prescription, SystemKind};
 use bdb_workloads::{
-    behavioral, micro, oltp, search, social, streaming, OutputPayload, WorkloadCategory,
-    WorkloadResult,
+    behavioral, micro, search, social, streaming, OutputPayload, WorkloadCategory, WorkloadResult,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -523,22 +521,6 @@ impl EngineRegistry {
         Ok(self.route_all(request)?.remove(0))
     }
 
-    /// Route a request, record the dispatch decision in the trace, and
-    /// execute it once — no retries, no failover. Prefer
-    /// [`dispatch_resilient`](Self::dispatch_resilient) for runs.
-    pub fn dispatch(&self, request: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-        let ranked = self.ranked_candidates(request)?;
-        request.trace.record(crate::trace::TraceEvent::EngineDispatched {
-            prescription: request.prescription.name.clone(),
-            engine: ranked[0].routing.engine.clone(),
-            requested_system: request.system.to_string(),
-            explicit: ranked[0].routing.explicit,
-            candidates: self.names().iter().map(|n| n.to_string()).collect(),
-        });
-        self.record_routing_decision(request, &ranked);
-        ranked[0].engine.execute(request)
-    }
-
     /// Resilient dispatch: route the request, run the chosen engine under
     /// the retry policy (with fault injection when a plan is active), and
     /// **fail over** to the next capable engine when the selected one
@@ -711,27 +693,6 @@ impl EngineRegistry {
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// A 32-bit order-independent-input, canonical-order hash of a bound
-/// execution's output rows, comparable across engines (kept within the
-/// integer range `f64` represents exactly so it can ride in a result
-/// detail).
-fn output_hash(bound: &BoundExecution) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in bound.sorted_rows() {
-        for v in &row {
-            for b in v.to_string().bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0x1f;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0x2f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h & 0xFFFF_FFFF
-}
-
 /// The canonical row-set payload of a bound execution: the sorted output
 /// rows with every value stringified, comparable across engines and
 /// against the reference oracle.
@@ -782,7 +743,6 @@ fn execute_table_binding(
         req.scale,
     )
     .with_detail("output_rows", bound.output.len() as f64)
-    .with_detail("output_hash", output_hash(&bound) as f64)
     .with_output(table_payload(&bound));
     Ok(vec![result])
 }
@@ -1092,8 +1052,8 @@ impl Engine for SqlEngine {
     }
 }
 
-/// The key-value engine (`bdb-kv`): element-operation mixes run as a
-/// YCSB-style driver against the LSM store.
+/// The key-value engine (`bdb-kv`): an element-operation prescription
+/// runs as a load-driver op mix against a preloaded LSM store.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct KvEngine;
 
@@ -1112,73 +1072,83 @@ impl Engine for KvEngine {
     }
 
     fn execute(&self, req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-        let element_ops: Vec<&Operation> = req
-            .prescription
-            .pattern
-            .operations()
-            .into_iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    Operation::Get { .. }
-                        | Operation::Put { .. }
-                        | Operation::UpdateKey { .. }
-                        | Operation::DeleteKey { .. }
-                        | Operation::ScanRange { .. }
-                )
-            })
-            .collect();
-        if element_ops.is_empty() {
-            return Err(BdbError::Execution(format!(
-                "kv engine needs element operations in prescription {}",
-                req.prescription.name
-            )));
-        }
-        let n = element_ops.len() as f64;
-        let frac = |pred: fn(&Operation) -> bool| -> f64 {
-            element_ops.iter().filter(|o| pred(o)).count() as f64 / n
-        };
-        let spec = oltp::YcsbSpec {
-            name: "prescribed",
-            read: frac(|o| matches!(o, Operation::Get { .. })),
-            update: frac(|o| matches!(o, Operation::UpdateKey { .. })),
-            insert: frac(|o| matches!(o, Operation::Put { .. }))
-                + frac(|o| matches!(o, Operation::DeleteKey { .. })),
-            scan: frac(|o| matches!(o, Operation::ScanRange { .. })),
-            rmw: 0.0,
-            zipf_exponent: 0.99,
-            scan_len: element_ops
-                .iter()
-                .find_map(|o| match o {
-                    Operation::ScanRange { limit, .. } => Some(*limit),
-                    _ => None,
-                })
-                .unwrap_or(0),
-        };
-        let config = oltp::YcsbConfig {
-            record_count: req.scale,
-            operation_count: req.scale * 2,
-            clients: req.config.effective_threads().min(8),
-            value_size: 100,
-        };
-        let (_store, counts, r) = timed(req, "kv", "element-mix", || {
-            oltp::run_ycsb(&spec, &config, req.seed)
-        }, |r| r.1.reads + r.1.updates + r.1.inserts + r.1.scans + r.1.rmws);
-        // Op counts and the final key population are deterministic for a
-        // given (spec, config, seed) even under concurrent clients: each
-        // client's operation stream is seeded independently, and inserted
-        // keys form a contiguous id range regardless of interleaving.
-        let payload = OutputPayload::Numeric(vec![
-            ("final_keys".into(), (config.record_count + counts.inserts) as f64),
-            ("inserts".into(), counts.inserts as f64),
-            ("read_hits".into(), counts.read_hits as f64),
-            ("reads".into(), counts.reads as f64),
-            ("rmws".into(), counts.rmws as f64),
-            ("scans".into(), counts.scans as f64),
-            ("updates".into(), counts.updates as f64),
-        ]);
+        let mix = element_mix(req.prescription, req.scale)?;
+        let clients = req.config.effective_threads().min(8);
+        let (report, r) = timed(
+            req,
+            "kv",
+            "element-mix",
+            || loadgen::drive_ycsb("prescribed", &mix, element_ops(req.scale), clients, req.seed),
+            |r| r.as_ref().map_or(0, |(report, _)| report.completed),
+        )?;
+        // Sessions claim ops from one seeded schedule, so the per-class
+        // counts depend only on (mix, records, ops, seed), never on the
+        // client count.
+        let payload = element_payload(req.scale, |c| report.class_latency(c).count());
         Ok(vec![r.with_output(payload)])
     }
+}
+
+/// Operations in the kv engine's drive over `records` preloaded keys.
+pub fn element_ops(records: u64) -> usize {
+    (records * 2) as usize
+}
+
+/// The op mix an element-operation prescription prescribes: one op per
+/// step — gets read, key updates put, puts and deletes insert, range
+/// scans scan up to their limit — over `records` preloaded keys with
+/// Zipf(0.99) popularity.
+///
+/// # Errors
+/// Fails when the prescription has no element operations.
+pub fn element_mix(prescription: &Prescription, records: u64) -> Result<OpMix> {
+    let mut scan_limit = 1;
+    let classes: Vec<OpClass> = prescription
+        .pattern
+        .operations()
+        .into_iter()
+        .filter_map(|o| match o {
+            Operation::Get { .. } => Some(OpClass::Get),
+            Operation::UpdateKey { .. } => Some(OpClass::Put),
+            Operation::Put { .. } | Operation::DeleteKey { .. } => Some(OpClass::Insert),
+            Operation::ScanRange { limit, .. } => {
+                scan_limit = *limit as u64;
+                Some(OpClass::Scan)
+            }
+            _ => None,
+        })
+        .collect();
+    if classes.is_empty() {
+        return Err(BdbError::Execution(format!(
+            "kv engine needs element operations in prescription {}",
+            prescription.name
+        )));
+    }
+    let frac =
+        |c: OpClass| classes.iter().filter(|k| **k == c).count() as f64 / classes.len() as f64;
+    Ok(OpMix {
+        get: frac(OpClass::Get),
+        put: frac(OpClass::Put),
+        insert: frac(OpClass::Insert),
+        scan: frac(OpClass::Scan),
+        rmw: 0.0,
+        zipf: 0.99,
+        records,
+        scan_len: (1, scan_limit + 1),
+    })
+}
+
+/// The kv engine's canonical answer: ops per class (`count`) and the
+/// final key population of a drive over `records` preloaded keys.
+pub fn element_payload(records: u64, count: impl Fn(OpClass) -> u64) -> OutputPayload {
+    OutputPayload::Numeric(vec![
+        ("final_keys".into(), (records + count(OpClass::Insert)) as f64),
+        ("inserts".into(), count(OpClass::Insert) as f64),
+        ("reads".into(), count(OpClass::Get) as f64),
+        ("rmws".into(), count(OpClass::Rmw) as f64),
+        ("scans".into(), count(OpClass::Scan) as f64),
+        ("updates".into(), count(OpClass::Put) as f64),
+    ])
 }
 
 /// Which binding a behavioral prescription lowers to.
@@ -1348,6 +1318,30 @@ mod tests {
     }
 
     #[test]
+    fn kv_output_does_not_depend_on_thread_count() {
+        let datasets = BTreeMap::new();
+        let trace = RunTrace::new();
+        for name in ["oltp/read-mostly", "oltp/scan-heavy"] {
+            let p = prescription(name);
+            let digest = |threads: usize| {
+                let config = SystemConfig::default().with_threads(threads);
+                let req = ExecutionRequest {
+                    prescription: &p,
+                    system: SystemKind::KeyValue,
+                    seed: 42,
+                    scale: 300,
+                    datasets: &datasets,
+                    config: &config,
+                    trace: &trace,
+                    routing: RoutingPolicy::FirstCapable,
+                };
+                KvEngine.execute(&req).unwrap()[0].output.as_ref().expect("kv payload").digest()
+            };
+            assert_eq!(digest(1), digest(8), "{name}");
+        }
+    }
+
+    #[test]
     fn classes_match_the_old_dispatch_precedence() {
         for (name, class) in [
             ("behavioral/sessionize", WorkloadClass::Behavioral),
@@ -1409,7 +1403,7 @@ mod tests {
             trace: &trace,
             routing: RoutingPolicy::FirstCapable,
         };
-        let err = registry.dispatch(&req).unwrap_err();
+        let err = registry.dispatch_resilient(&req, &Resilience::passive(0)).unwrap_err();
         assert!(err.to_string().contains("none registered"), "{err}");
     }
 
@@ -1438,7 +1432,10 @@ mod tests {
             Ok(_) => panic!("route accepted alpha=2.0"),
         };
         assert!(err.contains("(0, 1]"), "error names the valid range: {err}");
-        let err = registry.dispatch(&req).unwrap_err().to_string();
+        let err = registry
+            .dispatch_resilient(&req, &Resilience::passive(0))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("routing.ewma_alpha=2"), "dispatch rejects too: {err}");
     }
 

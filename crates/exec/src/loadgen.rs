@@ -18,13 +18,20 @@
 //!   *intended arrival instant*, not dispatch, so queueing delay is
 //!   charged to the engine — the coordinated-omission discipline.
 //!
-//! Per-lane latencies land in thread-local histograms merged at quiesce
+//! Per-lane latencies land in thread-local histograms, one per
+//! [`OpClass`], merged class by class at quiesce
 //! ([`bdb_common::histogram::Histogram::merge`] /
 //! [`LogHistogram::merge`](bdb_common::histogram::LogHistogram::merge)),
 //! reporting p50/p99/p999 and saturation throughput per engine. A sampled
 //! subset of op results is compared against a pure oracle through
 //! [`OutputPayload`] diffing and recorded as `ConformanceChecked` trace
 //! events — concurrency must not change answers.
+//!
+//! Every drive draws its schedule from an [`OpMix`]: [`build_schedule`]
+//! sizes the default mix from a [`LoadProfile`], [`drive_ycsb`] runs the
+//! YCSB core mixes for an explicit op count, and [`drive_hybrid`] runs the
+//! Section 5.2 "truly hybrid workload" (LSM point ops interleaved with
+//! `bdb_sql` analytics).
 //!
 //! # Chaos under load
 //!
@@ -68,9 +75,9 @@ use bdb_common::rng::{Rng, SeedTree, SplitMix64};
 use bdb_common::value::{DataType, Field, Schema, Value};
 use bdb_common::{pool, record::Table, BdbError, Result};
 use bdb_kv::{LsmConfig, SharedLsm};
-use bdb_metrics::ShardedCounter;
+use bdb_metrics::{OpCounts, ShardedCounter, UserMetrics};
 use bdb_testgen::arrival::{self, ArrivalProcess, ArrivalSpec};
-use bdb_workloads::{behavioral, OutputPayload};
+use bdb_workloads::{behavioral, relational, OutputPayload, WorkloadCategory, WorkloadResult};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -209,30 +216,224 @@ impl LoadProfile {
 
 /// One logical operation of the load schedule.
 ///
-/// Operations are *interleaving-independent* by construction: the
-/// working set is preloaded with `value_of(key)` for every key, puts
-/// rewrite the same value, and nothing is inserted or deleted — so any
-/// execution order yields the same answers and sampled results can be
-/// checked against a pure oracle even under maximal concurrency.
+/// Operations are *interleaving-independent* by construction: every
+/// value is a pure function of its key, the working set is preloaded with
+/// those values, puts and read-modify-writes rewrite the same value,
+/// inserts add keys past the preloaded range, and gets and scans address
+/// only preloaded keys — so any execution order yields the same answers
+/// and sampled results can be checked against a pure oracle even under
+/// maximal concurrency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadOp {
     /// Point read of `key`.
     Get {
-        /// Key index in `[0, KEYSPACE)`.
+        /// Preloaded key index.
         key: u64,
     },
     /// Rewrite of `key` with its canonical value.
     Put {
-        /// Key index in `[0, KEYSPACE)`.
+        /// Preloaded key index.
         key: u64,
     },
-    /// Range read of up to `len` keys from `start`.
+    /// Write of a new key; ids are fixed when the schedule is drawn
+    /// (records + insert ordinal).
+    Insert {
+        /// Key index past the preloaded range.
+        key: u64,
+    },
+    /// Range read of up to `len` preloaded keys from `start`.
     Scan {
         /// First key index.
         start: u64,
         /// Maximum entries returned.
         len: u64,
     },
+    /// Read `key`, then rewrite it with its canonical value.
+    Rmw {
+        /// Preloaded key index.
+        key: u64,
+    },
+}
+
+impl LoadOp {
+    /// The op's class.
+    pub fn class(&self) -> OpClass {
+        match self {
+            LoadOp::Get { .. } => OpClass::Get,
+            LoadOp::Put { .. } => OpClass::Put,
+            LoadOp::Scan { .. } => OpClass::Scan,
+            LoadOp::Insert { .. } => OpClass::Insert,
+            LoadOp::Rmw { .. } => OpClass::Rmw,
+        }
+    }
+
+    /// The op's key: the point key, or a scan's first key.
+    fn key(&self) -> u64 {
+        match *self {
+            LoadOp::Get { key }
+            | LoadOp::Put { key }
+            | LoadOp::Insert { key }
+            | LoadOp::Rmw { key }
+            | LoadOp::Scan { start: key, .. } => key,
+        }
+    }
+}
+
+/// The operation classes of an [`OpMix`], in draw order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum OpClass {
+    /// Point reads.
+    Get,
+    /// Overwrites of preloaded keys.
+    Put,
+    /// Short range reads.
+    Scan,
+    /// Writes of new keys.
+    Insert,
+    /// Read-modify-writes.
+    Rmw,
+}
+
+impl OpClass {
+    /// Every class, in draw order (the index of a class is `class as usize`).
+    const ALL: [OpClass; 5] =
+        [OpClass::Get, OpClass::Put, OpClass::Scan, OpClass::Insert, OpClass::Rmw];
+}
+
+/// A weighted operation mix over a preloaded, Zipf-skewed keyspace: the
+/// one workload abstraction every load drive draws its schedule from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpMix {
+    /// Fraction of point reads.
+    pub get: f64,
+    /// Fraction of overwrites of preloaded keys.
+    pub put: f64,
+    /// Fraction of inserts of new keys.
+    pub insert: f64,
+    /// Fraction of short range scans.
+    pub scan: f64,
+    /// Fraction of read-modify-writes.
+    pub rmw: f64,
+    /// Zipf exponent of the key-popularity curve.
+    pub zipf: f64,
+    /// Keys preloaded before the drive (`[0, records)`).
+    pub records: u64,
+    /// Scan lengths, drawn uniformly from the half-open range `[lo, hi)`.
+    pub scan_len: (u64, u64),
+}
+
+impl OpMix {
+    /// The `bdbench load` mix: 70% gets, 20% puts, 10% scans of 8–31
+    /// keys over [`KEYSPACE`] keys with Zipf(0.99) popularity (the YCSB
+    /// default skew).
+    pub const DEFAULT: OpMix = OpMix {
+        get: 0.7,
+        put: 0.2,
+        insert: 0.0,
+        scan: 0.1,
+        rmw: 0.0,
+        zipf: 0.99,
+        records: KEYSPACE,
+        scan_len: (8, 32),
+    };
+    /// YCSB workload A: update heavy (50/50 read/update).
+    pub const YCSB_A: OpMix = OpMix::ycsb(0.5, 0.5, 0.0, 0.0, 0.0);
+    /// YCSB workload B: read mostly (95/5 read/update).
+    pub const YCSB_B: OpMix = OpMix::ycsb(0.95, 0.05, 0.0, 0.0, 0.0);
+    /// YCSB workload C: read only.
+    pub const YCSB_C: OpMix = OpMix::ycsb(1.0, 0.0, 0.0, 0.0, 0.0);
+    /// YCSB workload D: 95% reads / 5% inserts.
+    pub const YCSB_D: OpMix = OpMix::ycsb(0.95, 0.0, 0.05, 0.0, 0.0);
+    /// YCSB workload E: short ranges (95% scans of 1–100 keys / 5% inserts).
+    pub const YCSB_E: OpMix = OpMix::ycsb(0.0, 0.0, 0.05, 0.95, 0.0);
+    /// YCSB workload F: 50% reads / 50% read-modify-writes.
+    pub const YCSB_F: OpMix = OpMix::ycsb(0.5, 0.0, 0.0, 0.0, 0.5);
+
+    const fn ycsb(get: f64, put: f64, insert: f64, scan: f64, rmw: f64) -> OpMix {
+        OpMix { get, put, insert, scan, rmw, zipf: 0.99, records: KEYSPACE, scan_len: (1, 101) }
+    }
+
+    fn fractions(&self) -> [f64; 5] {
+        [self.get, self.put, self.scan, self.insert, self.rmw]
+    }
+
+    /// Check the mix.
+    ///
+    /// # Errors
+    /// Fails unless the fractions are non-negative and sum to 1, there is
+    /// at least one record, the Zipf exponent is positive, and a mix with
+    /// scans has a non-empty scan-length range.
+    fn validate(&self) -> Result<()> {
+        let fractions = self.fractions();
+        let total: f64 = fractions.iter().sum();
+        // Written so NaN fields fail too.
+        let valid = fractions.iter().all(|f| *f >= 0.0)
+            && (total - 1.0).abs() < 1e-9
+            && self.records > 0
+            && self.zipf > 0.0
+            && self.zipf.is_finite()
+            && (self.scan == 0.0 || self.scan_len.0 < self.scan_len.1);
+        if valid {
+            Ok(())
+        } else {
+            Err(BdbError::InvalidConfig(format!(
+                "invalid op mix {self:?}: fractions must be non-negative and sum to 1, with \
+                 records > 0, a positive Zipf exponent and non-empty scan lengths"
+            )))
+        }
+    }
+
+    /// The class a uniform draw `sel` in `[0, 1)` selects: classes take
+    /// consecutive slices of the unit interval in [`OpClass::ALL`] order.
+    fn class_at(&self, sel: f64) -> OpClass {
+        let mut acc = 0.0;
+        let mut last = OpClass::Get;
+        for (class, frac) in OpClass::ALL.into_iter().zip(self.fractions()) {
+            if frac > 0.0 {
+                acc += frac;
+                last = class;
+                if sel < acc {
+                    return class;
+                }
+            }
+        }
+        last
+    }
+
+    /// A closed-loop schedule of `ops` operations (every arrival at 0).
+    ///
+    /// # Errors
+    /// Fails when the mix is invalid.
+    pub fn schedule(&self, ops: usize, seed: u64) -> Result<Vec<ScheduledOp>> {
+        self.draw(vec![0.0; ops], seed)
+    }
+
+    /// Draw one op per arrival instant from the seed's `loadgen` stream.
+    fn draw(&self, arrivals: Vec<f64>, seed: u64) -> Result<Vec<ScheduledOp>> {
+        self.validate()?;
+        let mut rng = SeedTree::new(seed).child_named("loadgen").rng();
+        let zipf = Zipf::new(self.records, self.zipf);
+        let mut next_insert = self.records;
+        let mut out = Vec::with_capacity(arrivals.len());
+        for at_ms in arrivals {
+            let op = match self.class_at(rng.next_f64()) {
+                OpClass::Get => LoadOp::Get { key: zipf.sample(&mut rng) },
+                OpClass::Put => LoadOp::Put { key: zipf.sample(&mut rng) },
+                OpClass::Insert => {
+                    next_insert += 1;
+                    LoadOp::Insert { key: next_insert - 1 }
+                }
+                OpClass::Scan => {
+                    let start = rng.next_bounded(self.records);
+                    let (lo, hi) = self.scan_len;
+                    LoadOp::Scan { start, len: lo + rng.next_bounded(hi - lo) }
+                }
+                OpClass::Rmw => LoadOp::Rmw { key: zipf.sample(&mut rng) },
+            };
+            out.push(ScheduledOp { at_ms, op });
+        }
+        Ok(out)
+    }
 }
 
 /// One schedule entry: the op plus its intended arrival instant.
@@ -244,9 +445,10 @@ pub struct ScheduledOp {
     pub op: LoadOp,
 }
 
-/// Canonical key string for index `i`.
+/// Canonical key string for index `i`: fixed width, so lexicographic
+/// order is numeric order.
 pub fn key_of(i: u64) -> String {
-    format!("k{i:06}")
+    format!("k{i:010}")
 }
 
 /// Canonical value string for key index `i`.
@@ -254,56 +456,31 @@ pub fn value_of(i: u64) -> String {
     format!("val-{i:06}")
 }
 
-/// Build the deterministic op schedule for a profile and seed.
+/// Build the deterministic op schedule of [`OpMix::DEFAULT`] for a
+/// profile and seed.
 ///
 /// The schedule depends only on `(seed, arrival, duration_ms)` — not on
 /// client or worker counts — so the issued-op digest is stable across
-/// any concurrency level. Keys follow a Zipf(0.99) popularity curve
-/// (the YCSB default); the mix is 70% gets, 20% puts, 10% scans.
+/// any concurrency level.
 ///
 /// # Errors
 /// Fails when the profile is invalid.
 pub fn build_schedule(profile: &LoadProfile, seed: u64) -> Result<Vec<ScheduledOp>> {
     profile.validate()?;
-    let n = match profile.arrival {
+    let open = |rate_per_sec: f64, process| {
+        let n = ((rate_per_sec * profile.duration_ms as f64 / 1000.0).round() as usize).max(1);
+        arrival::schedule(&ArrivalSpec::Open { rate_per_sec, process }, n, seed)
+    };
+    let arrivals = match profile.arrival {
         // Closed loop has no arrival clock: duration sizes the schedule
         // (drained as fast as the engine allows).
-        LoadArrival::Closed => (profile.duration_ms.saturating_mul(32)).clamp(256, 200_000) as usize,
-        LoadArrival::Poisson { rate_per_sec } | LoadArrival::Uniform { rate_per_sec } => {
-            ((rate_per_sec * profile.duration_ms as f64 / 1000.0).round() as usize).max(1)
+        LoadArrival::Closed => {
+            vec![0.0; profile.duration_ms.saturating_mul(32).clamp(256, 200_000) as usize]
         }
+        LoadArrival::Poisson { rate_per_sec } => open(rate_per_sec, ArrivalProcess::Poisson)?,
+        LoadArrival::Uniform { rate_per_sec } => open(rate_per_sec, ArrivalProcess::Uniform)?,
     };
-    let arrivals: Vec<f64> = match profile.arrival {
-        LoadArrival::Closed => vec![0.0; n],
-        LoadArrival::Poisson { rate_per_sec } => {
-            arrival::schedule(&ArrivalSpec::Open { rate_per_sec, process: ArrivalProcess::Poisson }, n, seed)?
-                .into_iter()
-                .map(|s| s.at_ms)
-                .collect()
-        }
-        LoadArrival::Uniform { rate_per_sec } => {
-            arrival::schedule(&ArrivalSpec::Open { rate_per_sec, process: ArrivalProcess::Uniform }, n, seed)?
-                .into_iter()
-                .map(|s| s.at_ms)
-                .collect()
-        }
-    };
-    let mut rng = SeedTree::new(seed).child_named("loadgen").rng();
-    let zipf = Zipf::new(KEYSPACE, 0.99);
-    let mut out = Vec::with_capacity(n);
-    for &at_ms in &arrivals {
-        let sel = rng.next_f64();
-        let op = if sel < 0.70 {
-            LoadOp::Get { key: zipf.sample(&mut rng) }
-        } else if sel < 0.90 {
-            LoadOp::Put { key: zipf.sample(&mut rng) }
-        } else {
-            let start = rng.next_bounded(KEYSPACE);
-            LoadOp::Scan { start, len: 8 + rng.next_bounded(24) }
-        };
-        out.push(ScheduledOp { at_ms, op });
-    }
-    Ok(out)
+    OpMix::DEFAULT.draw(arrivals, seed)
 }
 
 /// FNV-1a digest over the issued ops in schedule order — the
@@ -318,20 +495,11 @@ pub fn issued_digest(schedule: &[ScheduledOp]) -> String {
         }
     };
     for s in schedule {
-        match s.op {
-            LoadOp::Get { key } => {
-                eat(1);
-                eat(key);
-            }
-            LoadOp::Put { key } => {
-                eat(2);
-                eat(key);
-            }
-            LoadOp::Scan { start, len } => {
-                eat(3);
-                eat(start);
-                eat(len);
-            }
+        // Tag (1-based class index), key, and a scan's length.
+        eat(s.op.class() as u64 + 1);
+        eat(s.op.key());
+        if let LoadOp::Scan { len, .. } = s.op {
+            eat(len);
         }
     }
     format!("0x{h:016x}")
@@ -357,16 +525,20 @@ pub trait LoadSession {
     fn execute(&mut self, op: &LoadOp) -> String;
 }
 
-/// KV target: a [`SharedLsm`] preloaded with the full keyspace, sized so
-/// a load run keeps flushing (reads run concurrently under the store's
-/// read lock while flushes take the write lock).
+/// KV target: a [`SharedLsm`] preloaded with `records` keys, each holding
+/// its canonical value. The default store is sized so a load run keeps
+/// flushing (reads run concurrently under the store's read lock while
+/// flushes take the write lock).
 #[derive(Debug)]
 pub struct KvLoadTarget {
     store: SharedLsm,
+    records: u64,
+    value_size: usize,
 }
 
 impl KvLoadTarget {
-    /// A preloaded store with a memtable small enough to flush under load.
+    /// The full keyspace in a store with a memtable small enough to flush
+    /// under load.
     pub fn new() -> Self {
         Self::with_config(LsmConfig {
             memtable_capacity_bytes: 64 << 10,
@@ -375,13 +547,26 @@ impl KvLoadTarget {
         })
     }
 
-    /// A preloaded store with explicit tuning.
+    /// The full keyspace in a store with explicit tuning.
     pub fn with_config(config: LsmConfig) -> Self {
-        let store = SharedLsm::with_config(config);
-        for i in 0..KEYSPACE {
-            store.put(key_of(i).into_bytes(), value_of(i).into_bytes());
+        Self::preloaded(config, KEYSPACE, 0)
+    }
+
+    /// `records` keys whose values are padded to `value_size` bytes.
+    fn preloaded(config: LsmConfig, records: u64, value_size: usize) -> Self {
+        let target = Self { store: SharedLsm::with_config(config), records, value_size };
+        for i in 0..records {
+            target.store.put(key_of(i).into_bytes(), target.value(i));
         }
-        Self { store }
+        target
+    }
+
+    /// The canonical value of key `i`: [`value_of`] padded to the value
+    /// size.
+    fn value(&self, i: u64) -> Vec<u8> {
+        let mut v = value_of(i).into_bytes();
+        v.resize(v.len().max(self.value_size), b'.');
+        v
     }
 
     /// The underlying store (for stats in tests and reports).
@@ -396,24 +581,34 @@ impl Default for KvLoadTarget {
     }
 }
 
-struct KvSession {
-    store: SharedLsm,
-}
-
-impl LoadSession for KvSession {
+/// A kv session is a shared borrow of the target: the store serialises
+/// its own writers.
+impl LoadSession for &KvLoadTarget {
     fn execute(&mut self, op: &LoadOp) -> String {
-        match *op {
-            LoadOp::Get { key } => self
-                .store
+        let t: &KvLoadTarget = self;
+        let read = |key: u64| {
+            t.store
                 .get(key_of(key).as_bytes())
-                .map_or_else(|| "miss".to_string(), |v| String::from_utf8_lossy(&v).into_owned()),
-            LoadOp::Put { key } => {
-                self.store.put(key_of(key).into_bytes(), value_of(key).into_bytes());
+                .map_or_else(|| "miss".to_string(), |v| String::from_utf8_lossy(&v).into_owned())
+        };
+        let write = |key: u64| t.store.put(key_of(key).into_bytes(), t.value(key));
+        match *op {
+            LoadOp::Get { key } => read(key),
+            LoadOp::Put { key } | LoadOp::Insert { key } => {
+                write(key);
                 "ok".to_string()
             }
+            LoadOp::Rmw { key } => {
+                let value = read(key);
+                write(key);
+                value
+            }
             LoadOp::Scan { start, len } => {
-                let n = self.store.scan(key_of(start).as_bytes(), None, len as usize).len();
-                format!("scan:{n}")
+                // Bounded to the preloaded keys, so concurrent inserts
+                // never change the answer.
+                let end = key_of(t.records);
+                let n = t.store.scan(key_of(start).as_bytes(), Some(end.as_bytes()), len as usize);
+                format!("scan:{}", n.len())
             }
         }
     }
@@ -425,16 +620,18 @@ impl LoadTarget for KvLoadTarget {
     }
 
     fn session(&self) -> Box<dyn LoadSession + '_> {
-        Box::new(KvSession { store: self.store.clone() })
+        Box::new(self)
     }
 
     fn expected(&self, op: &LoadOp) -> String {
         match *op {
-            // Every key is preloaded and puts rewrite the same value.
-            LoadOp::Get { key } => value_of(key),
-            LoadOp::Put { .. } => "ok".to_string(),
-            // Keys are contiguous and never deleted.
-            LoadOp::Scan { start, len } => format!("scan:{}", len.min(KEYSPACE - start)),
+            // Every read key is preloaded and writes rewrite the same value.
+            LoadOp::Get { key } | LoadOp::Rmw { key } => {
+                String::from_utf8_lossy(&self.value(key)).into_owned()
+            }
+            LoadOp::Put { .. } | LoadOp::Insert { .. } => "ok".to_string(),
+            // Preloaded keys are contiguous and never deleted.
+            LoadOp::Scan { start, len } => format!("scan:{}", len.min(self.records - start)),
         }
     }
 }
@@ -442,7 +639,7 @@ impl LoadTarget for KvLoadTarget {
 /// SQL target: a `load(k INT, v TEXT)` table of the full keyspace; every
 /// session gets its own engine over a clone of the table (the engine
 /// API is `&mut`, so sessions do not share parser state). Reads only —
-/// puts and scans map to point selects of the same key.
+/// writes and scans map to point selects of the same key.
 #[derive(Debug)]
 pub struct SqlLoadTarget {
     table: Table,
@@ -488,10 +685,7 @@ impl SqlSession {
 
 impl LoadSession for SqlSession {
     fn execute(&mut self, op: &LoadOp) -> String {
-        match *op {
-            LoadOp::Get { key } | LoadOp::Put { key } => self.select(key),
-            LoadOp::Scan { start, .. } => self.select(start),
-        }
+        self.select(op.key())
     }
 }
 
@@ -509,10 +703,7 @@ impl LoadTarget for SqlLoadTarget {
     }
 
     fn expected(&self, op: &LoadOp) -> String {
-        match *op {
-            LoadOp::Get { key } | LoadOp::Put { key } => value_of(key),
-            LoadOp::Scan { start, .. } => value_of(start),
-        }
+        value_of(op.key())
     }
 }
 
@@ -535,11 +726,12 @@ fn mix(mut x: u64) -> u64 {
 fn native_outcome(op: &LoadOp) -> String {
     match *op {
         LoadOp::Get { key } => format!("h:{:016x}", mix(key)),
-        LoadOp::Put { key } => format!("h:{:016x}", mix(key ^ 0xdead_beef)),
         LoadOp::Scan { start, len } => {
             let sum = (start..start + len).fold(0u64, |acc, i| acc.wrapping_add(mix(i)));
             format!("s:{sum:016x}")
         }
+        // Writes of every kind.
+        _ => format!("h:{:016x}", mix(op.key() ^ 0xdead_beef)),
     }
 }
 
@@ -610,17 +802,21 @@ fn sessionize_of(key: u64) -> u64 {
         .unwrap_or(0)
 }
 
+/// A streaming op's answer, with `sessions` counting one key's sessions:
+/// scans fold the count over a key range, other ops take one key's.
+fn streaming_outcome(op: &LoadOp, sessions: fn(u64) -> u64) -> String {
+    match *op {
+        LoadOp::Scan { start, len } => {
+            let sum: u64 = (start..(start + len).min(KEYSPACE)).map(sessions).sum();
+            format!("sessions-sum:{sum}")
+        }
+        _ => format!("sessions:{}", sessions(op.key())),
+    }
+}
+
 impl LoadSession for StreamingSession {
     fn execute(&mut self, op: &LoadOp) -> String {
-        match *op {
-            LoadOp::Get { key } | LoadOp::Put { key } => {
-                format!("sessions:{}", sessionize_of(key))
-            }
-            LoadOp::Scan { start, len } => {
-                let sum: u64 = (start..(start + len).min(KEYSPACE)).map(sessionize_of).sum();
-                format!("sessions-sum:{sum}")
-            }
-        }
+        streaming_outcome(op, sessionize_of)
     }
 }
 
@@ -634,14 +830,84 @@ impl LoadTarget for StreamingLoadTarget {
     }
 
     fn expected(&self, op: &LoadOp) -> String {
-        match *op {
-            LoadOp::Get { key } | LoadOp::Put { key } => {
-                format!("sessions:{}", naive_sessions(key))
-            }
-            LoadOp::Scan { start, len } => {
-                let sum: u64 = (start..(start + len).min(KEYSPACE)).map(naive_sessions).sum();
-                format!("sessions-sum:{sum}")
-            }
+        streaming_outcome(op, naive_sessions)
+    }
+}
+
+/// The analytics query of the hybrid target: top pages by ad revenue.
+const HYBRID_QUERY: &str = "SELECT dest_page, SUM(ad_revenue) AS r FROM uservisits \
+                            GROUP BY dest_page ORDER BY r DESC LIMIT 5";
+
+/// Hybrid target (Section 5.2): gets and writes run on a preloaded
+/// [`KvLoadTarget`]; scans are the analytics class and run the
+/// `uservisits` revenue aggregate on `bdb_sql`.
+#[derive(Debug)]
+struct HybridLoadTarget {
+    kv: KvLoadTarget,
+    table: Table,
+    /// The aggregate's answer on a quiescent engine: the oracle every
+    /// analytics op under load must reproduce.
+    answer: String,
+}
+
+impl HybridLoadTarget {
+    /// `records` preloaded 64-byte kv records beside a `records`-row
+    /// `uservisits` table generated from `seed`.
+    fn new(records: u64, seed: u64) -> Self {
+        let mut target = Self {
+            kv: KvLoadTarget::preloaded(LsmConfig::default(), records, 64),
+            table: relational::uservisits_generator(1000).generate_shard(seed, 0, records),
+            answer: String::new(),
+        };
+        target.answer = target.open().aggregate();
+        target
+    }
+
+    fn open(&self) -> HybridSession<'_> {
+        let mut engine = bdb_sql::Engine::new();
+        engine
+            .register("uservisits", self.table.clone())
+            .expect("uservisits table registers");
+        HybridSession { kv: &self.kv, engine }
+    }
+}
+
+struct HybridSession<'a> {
+    kv: &'a KvLoadTarget,
+    engine: bdb_sql::Engine,
+}
+
+impl HybridSession<'_> {
+    fn aggregate(&mut self) -> String {
+        match self.engine.sql(HYBRID_QUERY) {
+            Ok(t) => format!("{:?}", t.rows()),
+            Err(e) => format!("error:{e}"),
+        }
+    }
+}
+
+impl LoadSession for HybridSession<'_> {
+    fn execute(&mut self, op: &LoadOp) -> String {
+        match op {
+            LoadOp::Scan { .. } => self.aggregate(),
+            _ => self.kv.execute(op),
+        }
+    }
+}
+
+impl LoadTarget for HybridLoadTarget {
+    fn name(&self) -> &'static str {
+        "kv+sql"
+    }
+
+    fn session(&self) -> Box<dyn LoadSession + '_> {
+        Box::new(self.open())
+    }
+
+    fn expected(&self, op: &LoadOp) -> String {
+        match op {
+            LoadOp::Scan { .. } => self.answer.clone(),
+            _ => self.kv.expected(op),
         }
     }
 }
@@ -686,12 +952,41 @@ pub struct LoadReport {
     pub conformance_passed: bool,
     /// The issued-op digest of the schedule this engine consumed.
     pub digest: String,
+    /// Completed-op latency histograms (ns), one per class, indexed by
+    /// `OpClass as usize`.
+    pub latency: [LogHistogram; 5],
+}
+
+impl LoadReport {
+    /// The latency histogram (ns) of one op class's completed ops.
+    pub fn class_latency(&self, class: OpClass) -> &LogHistogram {
+        &self.latency[class as usize]
+    }
+
+    /// The user-perceivable metrics of the drive: every completed op's
+    /// latency over the drive's wall-clock.
+    fn user_metrics(&self) -> UserMetrics {
+        UserMetrics::from_latencies(
+            &merged(&self.latency),
+            self.completed,
+            Duration::from_secs_f64(self.duration_secs),
+        )
+    }
+}
+
+/// One histogram holding every sample of `hists`.
+fn merged(hists: &[LogHistogram]) -> LogHistogram {
+    let mut out = LogHistogram::new();
+    for h in hists {
+        out.merge(h);
+    }
+    out
 }
 
 /// Per-lane capture merged at quiesce: a thread-local latency histogram,
 /// queue-delay histogram, completion/chaos counts and sampled outcomes.
 struct LaneOut {
-    lat: LogHistogram,
+    lat: [LogHistogram; 5],
     queue_delay: Histogram,
     completed: u64,
     failed: u64,
@@ -703,7 +998,7 @@ struct LaneOut {
 impl LaneOut {
     fn new() -> Self {
         Self {
-            lat: LogHistogram::new(),
+            lat: Default::default(),
             queue_delay: Histogram::with_bounds(0.0, 1000.0, 500),
             completed: 0,
             failed: 0,
@@ -837,7 +1132,7 @@ fn record_op(
         Some(c) => c.execute(lane, sess, &schedule[idx].op, idx),
     };
     let Some(out) = out else { return };
-    lane.lat
+    lane.lat[schedule[idx].op.class() as usize]
         .record(latency_from.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     lane.completed += 1;
     if idx.is_multiple_of(sample_every) {
@@ -893,7 +1188,7 @@ pub fn run_target_resilient(
         run_closed_loop(target, profile, schedule, trace, chaos.as_ref())?
     };
 
-    let mut lat = LogHistogram::new();
+    let mut latency: [LogHistogram; 5] = Default::default();
     let mut queue_delay = Histogram::with_bounds(0.0, 1000.0, 500);
     let mut completed = 0u64;
     let mut failed = 0u64;
@@ -901,7 +1196,9 @@ pub fn run_target_resilient(
     let mut retries = 0u64;
     let mut samples: Vec<(usize, String)> = Vec::new();
     for lane in &lanes {
-        lat.merge(&lane.lat);
+        for (total, class) in latency.iter_mut().zip(&lane.lat) {
+            total.merge(class);
+        }
         queue_delay.merge(&lane.queue_delay);
         completed += lane.completed;
         failed += lane.failed;
@@ -942,6 +1239,7 @@ pub fn run_target_resilient(
         detail: mismatch.unwrap_or_else(|| format!("digest 0x{:016x}", actual.digest())),
     });
 
+    let lat = merged(&latency);
     Ok(LoadReport {
         engine: target.name().to_string(),
         clients: profile.clients,
@@ -961,6 +1259,7 @@ pub fn run_target_resilient(
         sampled: samples.len() as u64,
         conformance_passed: passed,
         digest: issued_digest(schedule),
+        latency,
     })
 }
 
@@ -1298,12 +1597,155 @@ pub fn run_load_resilient(
     Ok(reports)
 }
 
+/// Value size of YCSB records, bytes.
+const YCSB_VALUE_SIZE: usize = 100;
+
+/// A passive closed-loop drive of `schedule` on `target` by `clients`
+/// sessions, failing when a sampled answer diverges from the oracle.
+fn drive_checked(
+    target: &dyn LoadTarget,
+    clients: usize,
+    schedule: &[ScheduledOp],
+) -> Result<LoadReport> {
+    let profile = LoadProfile { clients: clients.max(1), ..LoadProfile::default() };
+    // Session and conformance events go to a scratch trace: callers
+    // report the drive as one operation of their own.
+    let report = run_target(target, &profile, schedule, &RunTrace::new())?;
+    if !report.conformance_passed {
+        return Err(BdbError::Execution(format!(
+            "{} drive: sampled answers diverge from the oracle",
+            target.name()
+        )));
+    }
+    Ok(report)
+}
+
+/// YCSB on the load driver: `ops` operations drawn from `mix` into one
+/// closed-loop schedule, drained by `clients` sessions against a fresh
+/// store preloaded with `mix.records` records of 100 bytes. The result
+/// is named `oltp/ycsb-{label}`; its op counts and final key population
+/// depend only on `(mix, ops, seed)`.
+///
+/// # Errors
+/// Fails on an invalid mix, a worker panic, or an oracle divergence.
+pub fn drive_ycsb(
+    label: &str,
+    mix: &OpMix,
+    ops: usize,
+    clients: usize,
+    seed: u64,
+) -> Result<(LoadReport, WorkloadResult)> {
+    let schedule = mix.schedule(ops, seed)?;
+    let target = KvLoadTarget::preloaded(LsmConfig::default(), mix.records, YCSB_VALUE_SIZE);
+    let report = drive_checked(&target, clients, &schedule)?;
+    let result = WorkloadResult::assemble(
+        &format!("oltp/ycsb-{label}"),
+        "kv",
+        WorkloadCategory::OnlineServices,
+        report.user_metrics(),
+        OpCounts { record_ops: target.store().stats().total_ops(), float_ops: 0 },
+        mix.records,
+    );
+    Ok((report, result))
+}
+
+/// Configuration of the Section 5.2 hybrid mix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HybridConfig {
+    /// Fraction of operations that are analytics queries; the rest split
+    /// evenly into gets and puts.
+    pub olap_share: f64,
+    /// Total operations to issue.
+    pub operations: usize,
+    /// Records preloaded into the KV store, and rows in the analytics
+    /// table.
+    pub records: u64,
+}
+
+impl Default for HybridConfig {
+    fn default() -> Self {
+        Self { olap_share: 0.1, operations: 1000, records: 2000 }
+    }
+}
+
+/// The Section 5.2 "truly hybrid workload": OLTP gets and puts on the LSM
+/// store interleaved with analytics aggregates on `bdb_sql`, in one
+/// seeded sequence drained by a single closed-loop client. Per-component
+/// details: `oltp_ops`, `olap_ops`, `oltp_p50_us`, `olap_p50_us`.
+///
+/// # Errors
+/// Fails on an analytics share outside `[0, 1]`, a worker panic, or an
+/// oracle divergence.
+pub fn drive_hybrid(config: &HybridConfig, seed: u64) -> Result<WorkloadResult> {
+    let oltp = 1.0 - config.olap_share;
+    let mix = OpMix {
+        get: oltp / 2.0,
+        put: oltp / 2.0,
+        insert: 0.0,
+        scan: config.olap_share,
+        rmw: 0.0,
+        records: config.records,
+        ..OpMix::DEFAULT
+    };
+    let schedule = mix.schedule(config.operations, seed)?;
+    let target = HybridLoadTarget::new(config.records, seed);
+    let report = drive_checked(&target, 1, &schedule)?;
+    let mut oltp_lat = report.class_latency(OpClass::Get).clone();
+    oltp_lat.merge(report.class_latency(OpClass::Put));
+    let olap_lat = report.class_latency(OpClass::Scan);
+    // Every analytics query scans the whole table.
+    let record_ops = target.kv.store().stats().total_ops() + olap_lat.count() * config.records;
+    Ok(WorkloadResult::assemble(
+        "hybrid/oltp+olap",
+        "kv+sql",
+        WorkloadCategory::OnlineServices,
+        report.user_metrics(),
+        OpCounts { record_ops, float_ops: 0 },
+        config.operations as u64,
+    )
+    .with_detail("oltp_ops", oltp_lat.count() as f64)
+    .with_detail("olap_ops", olap_lat.count() as f64)
+    .with_detail("oltp_p50_us", oltp_lat.quantile(0.50) as f64 / 1e3)
+    .with_detail("olap_p50_us", olap_lat.quantile(0.50) as f64 / 1e3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn quick_profile() -> LoadProfile {
         LoadProfile { clients: 2, duration_ms: 10, ..LoadProfile::default() }
+    }
+
+    /// A target whose every op sleeps `delay_ms` and answers `out`, while
+    /// its oracle expects `expect`.
+    #[derive(Clone, Copy)]
+    struct Canned {
+        delay_ms: u64,
+        out: &'static str,
+        expect: &'static str,
+    }
+
+    /// An engine far slower than the test arrival rates.
+    const SLOW: Canned = Canned { delay_ms: 3, out: "slow", expect: "slow" };
+
+    impl LoadSession for Canned {
+        fn execute(&mut self, _op: &LoadOp) -> String {
+            std::thread::sleep(Duration::from_millis(self.delay_ms));
+            self.out.to_string()
+        }
+    }
+
+    impl LoadTarget for Canned {
+        fn name(&self) -> &'static str {
+            "canned"
+        }
+        fn session(&self) -> Box<dyn LoadSession + '_> {
+            Box::new(*self)
+        }
+        fn expected(&self, _op: &LoadOp) -> String {
+            self.expect.to_string()
+        }
     }
 
     #[test]
@@ -1443,25 +1885,6 @@ mod tests {
         // One slow client, a queue of 1, arrivals far faster than the
         // engine: most ops must shed and the run must still finish
         // promptly (the pacer never blocks).
-        struct SlowTarget;
-        struct SlowSession;
-        impl LoadSession for SlowSession {
-            fn execute(&mut self, _op: &LoadOp) -> String {
-                std::thread::sleep(Duration::from_millis(3));
-                "slow".to_string()
-            }
-        }
-        impl LoadTarget for SlowTarget {
-            fn name(&self) -> &'static str {
-                "slow"
-            }
-            fn session(&self) -> Box<dyn LoadSession + '_> {
-                Box::new(SlowSession)
-            }
-            fn expected(&self, _op: &LoadOp) -> String {
-                "slow".to_string()
-            }
-        }
         let p = LoadProfile {
             arrival: LoadArrival::Uniform { rate_per_sec: 5000.0 },
             duration_ms: 60,
@@ -1470,7 +1893,7 @@ mod tests {
             ..LoadProfile::default()
         };
         let schedule = build_schedule(&p, 9).unwrap();
-        let r = run_target(&SlowTarget, &p, &schedule, &trace).unwrap();
+        let r = run_target(&SLOW, &p, &schedule, &trace).unwrap();
         assert!(r.shed > 0, "undersized queue must shed");
         assert_eq!(r.issued, r.completed + r.shed);
         let shed_events = trace
@@ -1567,25 +1990,6 @@ mod tests {
         // The undersized-queue scenario with chaos active: arrivals far
         // outpace a slow single worker, so the queue stays full and the
         // pacer's pressure counter passes the grace threshold.
-        struct SlowTarget;
-        struct SlowSession;
-        impl LoadSession for SlowSession {
-            fn execute(&mut self, _op: &LoadOp) -> String {
-                std::thread::sleep(Duration::from_millis(3));
-                "slow".to_string()
-            }
-        }
-        impl LoadTarget for SlowTarget {
-            fn name(&self) -> &'static str {
-                "slow"
-            }
-            fn session(&self) -> Box<dyn LoadSession + '_> {
-                Box::new(SlowSession)
-            }
-            fn expected(&self, _op: &LoadOp) -> String {
-                "slow".to_string()
-            }
-        }
         let trace = RunTrace::new();
         let p = LoadProfile {
             arrival: LoadArrival::Uniform { rate_per_sec: 5000.0 },
@@ -1601,7 +2005,7 @@ mod tests {
             9,
         );
         let health = HealthStore::default();
-        let r = run_target_resilient(&SlowTarget, &p, &schedule, &res, &health, 9, &trace).unwrap();
+        let r = run_target_resilient(&SLOW, &p, &schedule, &res, &health, 9, &trace).unwrap();
         assert_eq!(r.issued, r.completed + r.shed + r.failed, "conservation");
         assert!(r.shed > 0, "overload must shed");
         let labels: Vec<&'static str> = trace.events().iter().map(|e| e.label()).collect();
@@ -1623,6 +2027,96 @@ mod tests {
         assert!(reports.iter().all(|r| r.conformance_passed));
         // One shared schedule: identical digests across engines.
         assert_eq!(reports[0].digest, reports[1].digest);
+    }
+
+    #[test]
+    fn op_mix_validation_errors_instead_of_panicking() {
+        let presets = [OpMix::YCSB_A, OpMix::YCSB_B, OpMix::YCSB_C, OpMix::YCSB_D, OpMix::YCSB_E];
+        for mix in presets.into_iter().chain([OpMix::YCSB_F, OpMix::DEFAULT]) {
+            assert!(mix.validate().is_ok(), "{mix:?}");
+        }
+        let d = OpMix::DEFAULT;
+        assert!(OpMix { get: 0.5, ..d }.schedule(8, 1).is_err(), "sums to 0.8");
+        for bad in [
+            OpMix { get: 0.9, put: -0.1, scan: 0.2, ..d },
+            OpMix { get: f64::NAN, ..d },
+            OpMix { records: 0, ..d },
+            OpMix { zipf: 0.0, ..d },
+            OpMix { scan_len: (4, 4), ..d },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn ycsb_e_draws_scans_and_fixed_insert_ids() {
+        let mix = OpMix { records: 500, ..OpMix::YCSB_E };
+        let s = mix.schedule(2000, 3).unwrap();
+        let count = |c: OpClass| s.iter().filter(|o| o.op.class() == c).count();
+        assert_eq!(count(OpClass::Scan) + count(OpClass::Insert), 2000);
+        assert!(count(OpClass::Scan) > 1850, "scans {}", count(OpClass::Scan));
+        let inserts: Vec<u64> =
+            s.iter().filter(|o| o.op.class() == OpClass::Insert).map(|o| o.op.key()).collect();
+        assert_eq!(inserts, (500..500 + inserts.len() as u64).collect::<Vec<_>>());
+        assert!(s.iter().all(|o| match o.op {
+            LoadOp::Scan { start, len } => start < 500 && (1..101).contains(&len),
+            _ => true,
+        }));
+    }
+
+    #[test]
+    fn kv_target_answers_inserts_rmw_and_bounded_scans() {
+        let t = KvLoadTarget::preloaded(LsmConfig::default(), 100, 32);
+        let mut sess = t.session();
+        for op in [
+            LoadOp::Get { key: 3 },
+            LoadOp::Rmw { key: 7 },
+            LoadOp::Insert { key: 100 },
+            LoadOp::Scan { start: 95, len: 20 },
+        ] {
+            assert_eq!(sess.execute(&op), t.expected(&op), "{op:?}");
+        }
+        // Inserted keys are readable, values are padded, and scans stop
+        // at the preloaded range.
+        assert_eq!(t.store().get(key_of(100).as_bytes()).map(|v| v.len()), Some(32));
+        assert_eq!(sess.execute(&LoadOp::Scan { start: 95, len: 20 }), "scan:5");
+    }
+
+    #[test]
+    fn ycsb_drive_counts_do_not_depend_on_clients() {
+        for (label, mix) in [("A", OpMix::YCSB_A), ("D", OpMix::YCSB_D), ("F", OpMix::YCSB_F)] {
+            let mix = OpMix { records: 300, ..mix };
+            let (one, result) = drive_ycsb(label, &mix, 600, 1, 4).unwrap();
+            let (four, _) = drive_ycsb(label, &mix, 600, 4, 4).unwrap();
+            for c in OpClass::ALL {
+                assert_eq!(one.class_latency(c).count(), four.class_latency(c).count(), "{c:?}");
+            }
+            assert_eq!(result.report.workload, format!("oltp/ycsb-{label}"));
+            assert_eq!(result.category, WorkloadCategory::OnlineServices);
+            assert_eq!(result.report.user.latency_samples, 600);
+        }
+    }
+
+    #[test]
+    fn checked_drive_fails_on_oracle_divergence() {
+        let liar = Canned { delay_ms: 0, out: "lie", expect: "truth" };
+        let schedule = OpMix::DEFAULT.schedule(32, 1).unwrap();
+        assert!(drive_checked(&liar, 1, &schedule).is_err());
+    }
+
+    #[test]
+    fn hybrid_drive_follows_weights_and_separates_classes() {
+        let cfg = HybridConfig { operations: 400, ..HybridConfig::default() };
+        let a = drive_hybrid(&cfg, 2).unwrap();
+        let b = drive_hybrid(&cfg, 2).unwrap();
+        let d = |r: &WorkloadResult, key: &str| r.detail(key).unwrap();
+        assert_eq!(d(&a, "oltp_ops") + d(&a, "olap_ops"), 400.0);
+        assert_eq!(d(&a, "olap_ops"), d(&b, "olap_ops"), "seeded sequence");
+        let frac = d(&a, "oltp_ops") / 400.0;
+        assert!((frac - 0.9).abs() < 0.06, "oltp fraction {frac}");
+        assert!(d(&a, "olap_p50_us") > d(&a, "oltp_p50_us"), "analytics are the slow class");
+        assert_eq!(a.report.workload, "hybrid/oltp+olap");
+        assert!(drive_hybrid(&HybridConfig { olap_share: 1.5, ..cfg }, 2).is_err());
     }
 
     #[test]

@@ -669,6 +669,7 @@ mod tests {
             sampled: 63,
             conformance_passed: true,
             digest: "0xfeed".into(),
+            latency: Default::default(),
         };
         let s = LoadSummary::new(
             vec![report],
@@ -707,6 +708,7 @@ mod tests {
             sampled: 63,
             conformance_passed: true,
             digest: "0xfeed".into(),
+            latency: Default::default(),
         };
         let text = render_load(&LoadSummary::new(vec![report], &[]));
         assert!(text.contains("failed"));

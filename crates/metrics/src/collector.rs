@@ -43,13 +43,6 @@ impl MetricsCollector {
         out
     }
 
-    /// Merge latencies and counts from another collector (parallel
-    /// clients); the run timer keeps this collector's start.
-    pub fn merge(&mut self, other: &MetricsCollector) {
-        self.latencies_ns.merge(&other.latencies_ns);
-        self.operations += other.operations;
-    }
-
     /// Finish: snapshot the user-perceivable metrics.
     pub fn finish(&self) -> UserMetrics {
         self.snapshot(self.started.elapsed())
@@ -63,17 +56,7 @@ impl MetricsCollector {
     }
 
     fn snapshot(&self, duration: Duration) -> UserMetrics {
-        let secs = duration.as_secs_f64().max(1e-9);
-        UserMetrics {
-            duration_secs: secs,
-            operations: self.operations,
-            throughput_ops_per_sec: self.operations as f64 / secs,
-            latency_mean_us: self.latencies_ns.mean() / 1e3,
-            latency_p50_us: self.latencies_ns.quantile(0.50) as f64 / 1e3,
-            latency_p95_us: self.latencies_ns.quantile(0.95) as f64 / 1e3,
-            latency_p99_us: self.latencies_ns.quantile(0.99) as f64 / 1e3,
-            latency_samples: self.latencies_ns.count(),
-        }
+        UserMetrics::from_latencies(&self.latencies_ns, self.operations, duration)
     }
 }
 
@@ -97,6 +80,28 @@ pub struct UserMetrics {
     pub latency_p99_us: f64,
     /// Number of latency samples recorded.
     pub latency_samples: u64,
+}
+
+impl UserMetrics {
+    /// Metrics of `operations` ops run over `duration`, with latency
+    /// statistics from a histogram of per-op latencies in nanoseconds.
+    pub fn from_latencies(
+        latencies_ns: &LogHistogram,
+        operations: u64,
+        duration: Duration,
+    ) -> Self {
+        let secs = duration.as_secs_f64().max(1e-9);
+        UserMetrics {
+            duration_secs: secs,
+            operations,
+            throughput_ops_per_sec: operations as f64 / secs,
+            latency_mean_us: latencies_ns.mean() / 1e3,
+            latency_p50_us: latencies_ns.quantile(0.50) as f64 / 1e3,
+            latency_p95_us: latencies_ns.quantile(0.95) as f64 / 1e3,
+            latency_p99_us: latencies_ns.quantile(0.99) as f64 / 1e3,
+            latency_samples: latencies_ns.count(),
+        }
+    }
 }
 
 /// Throughput of one data-generation run: the paper treats generator
@@ -196,18 +201,5 @@ mod tests {
         assert_eq!(m.operations, 1000);
         assert_eq!(m.latency_samples, 0);
         assert_eq!(m.latency_p99_us, 0.0);
-    }
-
-    #[test]
-    fn merge_combines_parallel_clients() {
-        let mut a = MetricsCollector::new();
-        let mut b = MetricsCollector::new();
-        a.record_latency(Duration::from_micros(10));
-        b.record_latency(Duration::from_micros(1000));
-        a.merge(&b);
-        let m = a.finish();
-        assert_eq!(m.operations, 2);
-        assert_eq!(m.latency_samples, 2);
-        assert!(m.latency_p99_us > 100.0);
     }
 }

@@ -27,9 +27,8 @@ use bdb_datagen::volume::VolumeSpec;
 use bdb_datagen::{DataGenerator, DataSourceKind, Dataset};
 use bdb_mapreduce::JobConfig;
 use bdb_metrics::{MetricsCollector, OpCounts};
-use bdb_workloads::{
-    ecommerce, micro, oltp, relational, search, social, WorkloadCategory, WorkloadResult,
-};
+use bdb_exec::loadgen::{self, OpMix};
+use bdb_workloads::{ecommerce, micro, relational, search, social, WorkloadCategory, WorkloadResult};
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
@@ -414,16 +413,14 @@ impl BenchmarkSuite for Ycsb {
     }
 
     fn run_workloads(&self, scale: u64, seed: u64) -> Result<Vec<WorkloadResult>> {
-        let config = oltp::YcsbConfig {
-            record_count: scale,
-            operation_count: scale * 2,
-            clients: 2,
-            value_size: 64,
+        let ops = (scale * 2) as usize;
+        let run = |label: &str, mix: OpMix, seed: u64| -> Result<WorkloadResult> {
+            Ok(loadgen::drive_ycsb(label, &OpMix { records: scale, ..mix }, ops, 2, seed)?.1)
         };
         Ok(vec![
-            oltp::run_ycsb(&oltp::YcsbSpec::a(), &config, seed).2,
-            oltp::run_ycsb(&oltp::YcsbSpec::b(), &config, seed ^ 1).2,
-            oltp::run_ycsb(&oltp::YcsbSpec::e(), &config, seed ^ 2).2,
+            run("A", OpMix::YCSB_A, seed)?,
+            run("B", OpMix::YCSB_B, seed ^ 1)?,
+            run("E", OpMix::YCSB_E, seed ^ 2)?,
         ])
     }
 }
@@ -815,13 +812,8 @@ impl BenchmarkSuite for CloudSuite {
     }
 
     fn run_workloads(&self, scale: u64, seed: u64) -> Result<Vec<WorkloadResult>> {
-        let config = oltp::YcsbConfig {
-            record_count: scale,
-            operation_count: scale * 2,
-            clients: 2,
-            value_size: 64,
-        };
-        let ycsb = oltp::run_ycsb(&oltp::YcsbSpec::b(), &config, seed).2;
+        let mix = OpMix { records: scale, ..OpMix::YCSB_B };
+        let ycsb = loadgen::drive_ycsb("B", &mix, (scale * 2) as usize, 2, seed)?.1;
         let markov = MarkovTextGenerator::train(&RAW_TEXT_CORPUS)?;
         let docs = text_docs(&markov, seed, scale / 10)?;
         let wc = micro::wordcount_mapreduce(&docs, &small_job()).1;
@@ -904,13 +896,8 @@ impl BenchmarkSuite for BigDataBench {
         out.push(micro::grep_native(&docs, &vocab, "data").1);
         out.push(micro::wordcount_native(&docs).1);
         // Cloud OLTP.
-        let config = oltp::YcsbConfig {
-            record_count: scale,
-            operation_count: scale,
-            clients: 2,
-            value_size: 64,
-        };
-        out.push(oltp::run_ycsb(&oltp::YcsbSpec::a(), &config, seed).2);
+        let mix = OpMix { records: scale, ..OpMix::YCSB_A };
+        out.push(loadgen::drive_ycsb("A", &mix, scale as usize, 2, seed)?.1);
         // Relational queries.
         let (mut tasks, _) = relational::PavloTasks::load(scale / 4, scale, seed)?;
         out.push(tasks.selection(20)?.1);
@@ -996,15 +983,14 @@ impl BenchmarkSuite for Bdbench {
     }
 
     fn run_workloads(&self, scale: u64, seed: u64) -> Result<Vec<WorkloadResult>> {
-        use bdb_workloads::{hybrid, streaming};
+        use bdb_workloads::streaming;
         let mut out = Vec::new();
-        let cfg = hybrid::HybridConfig {
+        let cfg = loadgen::HybridConfig {
             operations: scale as usize,
-            kv_records: scale,
-            table_rows: scale,
+            records: scale,
             ..Default::default()
         };
-        out.push(hybrid::run_hybrid(&cfg, seed)?.1);
+        out.push(loadgen::drive_hybrid(&cfg, seed)?);
         // Offline analytics: PageRank over the veracity-fitted graph.
         let graph = fit_rmat(&karate_club_graph(), 0xBD)?.generate_graph(seed, 9);
         out.push(search::pagerank_native(&graph.to_csr(), &Default::default()).2);

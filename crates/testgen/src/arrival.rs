@@ -4,9 +4,9 @@
 //! operations and the arrival patterns of these operations (i.e. the
 //! arriving rate and sequence of operations)." An [`ArrivalSpec`]
 //! describes rate and sequencing; [`schedule`] materialises it into
-//! timestamped operation slots; [`HybridMix`] composes several
-//! prescriptions into the "truly hybrid workload" the paper says no
-//! existing benchmark supports.
+//! timestamped operation slots. The "truly hybrid workload" the paper
+//! says no existing benchmark supports is an operation mix on the load
+//! driver (`bdb_exec::loadgen`).
 
 use bdb_common::prelude::*;
 use bdb_common::{BdbError, Result};
@@ -50,36 +50,24 @@ pub enum ArrivalProcess {
     },
 }
 
-/// One scheduled operation slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalSlot {
-    /// When the operation should be issued, ms from test start.
-    pub at_ms: f64,
-    /// Which component of a mix it belongs to (0 for single workloads).
-    pub component: usize,
-}
-
-/// Materialise `n` arrival slots from a spec.
+/// Materialise `n` arrival instants from a spec: when each operation
+/// should be issued, ms from test start.
 ///
 /// Closed-loop specs have no a-priori schedule (arrivals depend on
 /// completions), so they return evenly spaced estimates at
 /// `clients / think_time` for planning purposes.
-pub fn schedule(spec: &ArrivalSpec, n: usize, seed: u64) -> Result<Vec<ArrivalSlot>> {
+pub fn schedule(spec: &ArrivalSpec, n: usize, seed: u64) -> Result<Vec<f64>> {
     let mut rng = SeedTree::new(seed).child_named("arrivals").rng();
     let mut out = Vec::with_capacity(n);
     match spec {
-        ArrivalSpec::Batch => {
-            for _ in 0..n {
-                out.push(ArrivalSlot { at_ms: 0.0, component: 0 });
-            }
-        }
+        ArrivalSpec::Batch => out.resize(n, 0.0),
         ArrivalSpec::Closed { clients, think_time_ms } => {
             if *clients == 0 {
                 return Err(BdbError::InvalidConfig("closed loop needs clients".into()));
             }
             let rate_per_ms = *clients as f64 / think_time_ms.max(0.001);
             for i in 0..n {
-                out.push(ArrivalSlot { at_ms: i as f64 / rate_per_ms, component: 0 });
+                out.push(i as f64 / rate_per_ms);
             }
         }
         ArrivalSpec::Open { rate_per_sec, process } => {
@@ -108,7 +96,7 @@ pub fn schedule(spec: &ArrivalSpec, n: usize, seed: u64) -> Result<Vec<ArrivalSl
                     }
                 };
                 t += gap;
-                out.push(ArrivalSlot { at_ms: t, component: 0 });
+                out.push(t);
             }
         }
     }
@@ -155,43 +143,6 @@ pub fn fit_from_log(timestamps_ms: &[f64]) -> Result<ArrivalSpec> {
     Ok(ArrivalSpec::Open { rate_per_sec, process })
 }
 
-/// A mix of prescriptions with relative weights — the Section 5.2 "truly
-/// hybrid workload ... the mix of various data processing operations and
-/// their arriving rates and sequences".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HybridMix {
-    /// (prescription name, weight) pairs.
-    pub components: Vec<(String, f64)>,
-    /// Shared arrival spec for the merged stream.
-    pub arrival: ArrivalSpec,
-}
-
-impl HybridMix {
-    /// Build a mix, validating weights.
-    pub fn new(components: Vec<(String, f64)>, arrival: ArrivalSpec) -> Result<Self> {
-        if components.is_empty() {
-            return Err(BdbError::InvalidConfig("empty hybrid mix".into()));
-        }
-        if components.iter().any(|(_, w)| *w <= 0.0) {
-            return Err(BdbError::InvalidConfig("mix weights must be positive".into()));
-        }
-        Ok(Self { components, arrival })
-    }
-
-    /// Schedule `n` arrivals, assigning each slot to a component by
-    /// weighted draw (the "sequence" half of the arrival pattern).
-    pub fn schedule(&self, n: usize, seed: u64) -> Result<Vec<ArrivalSlot>> {
-        let mut slots = schedule(&self.arrival, n, seed)?;
-        let weights: Vec<f64> = self.components.iter().map(|(_, w)| *w).collect();
-        let pick = Categorical::new(&weights);
-        let mut rng = SeedTree::new(seed).child_named("mix").rng();
-        for s in &mut slots {
-            s.component = pick.sample(&mut rng);
-        }
-        Ok(slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,25 +150,25 @@ mod tests {
     #[test]
     fn batch_schedule_is_all_zero() {
         let s = schedule(&ArrivalSpec::Batch, 5, 1).unwrap();
-        assert!(s.iter().all(|x| x.at_ms == 0.0));
+        assert!(s.iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn open_poisson_matches_rate() {
         let spec = ArrivalSpec::Open { rate_per_sec: 1000.0, process: ArrivalProcess::Poisson };
         let s = schedule(&spec, 10_000, 2).unwrap();
-        let span = s.last().unwrap().at_ms / 1000.0;
+        let span = s.last().unwrap() / 1000.0;
         let rate = 10_000.0 / span;
         assert!((900.0..1100.0).contains(&rate), "rate {rate}");
         // Monotone non-decreasing.
-        assert!(s.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+        assert!(s.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn uniform_gaps_are_constant() {
         let spec = ArrivalSpec::Open { rate_per_sec: 100.0, process: ArrivalProcess::Uniform };
         let s = schedule(&spec, 10, 3).unwrap();
-        let gap = s[1].at_ms - s[0].at_ms;
+        let gap = s[1] - s[0];
         assert!((gap - 10.0).abs() < 1e-9);
     }
 
@@ -229,9 +180,7 @@ mod tests {
         };
         let poisson =
             ArrivalSpec::Open { rate_per_sec: 1000.0, process: ArrivalProcess::Poisson };
-        let gaps = |s: &[ArrivalSlot]| -> Vec<f64> {
-            s.windows(2).map(|w| w[1].at_ms - w[0].at_ms).collect()
-        };
+        let gaps = |s: &[f64]| -> Vec<f64> { s.windows(2).map(|w| w[1] - w[0]).collect() };
         let vb = Summary::of(&gaps(&schedule(&bursty, 5000, 7).unwrap())).variance();
         let vp = Summary::of(&gaps(&schedule(&poisson, 5000, 7).unwrap())).variance();
         assert!(vb > vp, "bursty {vb} vs poisson {vp}");
@@ -242,20 +191,8 @@ mod tests {
         let spec = ArrivalSpec::Closed { clients: 10, think_time_ms: 10.0 };
         let s = schedule(&spec, 100, 4).unwrap();
         // 10 clients / 10ms think = 1 op/ms.
-        assert!((s[99].at_ms - 99.0).abs() < 1e-9);
+        assert!((s[99] - 99.0).abs() < 1e-9);
         assert!(schedule(&ArrivalSpec::Closed { clients: 0, think_time_ms: 1.0 }, 1, 1).is_err());
-    }
-
-    #[test]
-    fn hybrid_mix_assigns_components_by_weight() {
-        let mix = HybridMix::new(
-            vec![("oltp".into(), 3.0), ("olap".into(), 1.0)],
-            ArrivalSpec::Open { rate_per_sec: 100.0, process: ArrivalProcess::Poisson },
-        )
-        .unwrap();
-        let slots = mix.schedule(10_000, 5).unwrap();
-        let oltp = slots.iter().filter(|s| s.component == 0).count() as f64 / 10_000.0;
-        assert!((oltp - 0.75).abs() < 0.02, "oltp fraction {oltp}");
     }
 
     #[test]
@@ -270,11 +207,7 @@ mod tests {
         }
         // Poisson log round-trips to Poisson at the same rate.
         let spec = ArrivalSpec::Open { rate_per_sec: 200.0, process: ArrivalProcess::Poisson };
-        let log: Vec<f64> = schedule(&spec, 5_000, 9)
-            .unwrap()
-            .iter()
-            .map(|s| s.at_ms)
-            .collect();
+        let log = schedule(&spec, 5_000, 9).unwrap();
         match fit_from_log(&log).unwrap() {
             ArrivalSpec::Open { rate_per_sec, process: ArrivalProcess::Poisson } => {
                 assert!((rate_per_sec - 200.0).abs() < 20.0, "rate {rate_per_sec}");
@@ -286,11 +219,7 @@ mod tests {
             rate_per_sec: 200.0,
             process: ArrivalProcess::Bursty { burst_factor: 16.0 },
         };
-        let log: Vec<f64> = schedule(&bursty_spec, 5_000, 9)
-            .unwrap()
-            .iter()
-            .map(|s| s.at_ms)
-            .collect();
+        let log = schedule(&bursty_spec, 5_000, 9).unwrap();
         match fit_from_log(&log).unwrap() {
             ArrivalSpec::Open { process: ArrivalProcess::Bursty { burst_factor }, .. } => {
                 assert!(burst_factor >= 2.0);
@@ -305,11 +234,5 @@ mod tests {
         assert!(fit_from_log(&[5.0, 5.0, 5.0]).is_err());
         // Unsorted input is fine (the fitter sorts).
         assert!(fit_from_log(&[30.0, 10.0, 20.0, 40.0]).is_ok());
-    }
-
-    #[test]
-    fn hybrid_mix_validation() {
-        assert!(HybridMix::new(vec![], ArrivalSpec::Batch).is_err());
-        assert!(HybridMix::new(vec![("a".into(), 0.0)], ArrivalSpec::Batch).is_err());
     }
 }

@@ -152,7 +152,7 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
         // ---- Basic database operations: Cloud OLTP (YCSB style) ----
         Prescription {
             name: "oltp/read-mostly".into(),
-            description: "95% reads / 5% updates over a key-value store (YCSB workload B)"
+            description: "50% zipfian reads / 50% updates over a key-value store (one op per step)"
                 .into(),
             data: vec![table_data("records", 10_000)],
             pattern: WorkloadPattern::Multi {
@@ -179,7 +179,9 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
         },
         Prescription {
             name: "oltp/scan-heavy".into(),
-            description: "short range scans with inserts (YCSB workload E)".into(),
+            description:
+                "50% short range scans / 50% inserts over a key-value store (one op per step)"
+                    .into(),
             data: vec![table_data("records", 10_000)],
             pattern: WorkloadPattern::Multi {
                 steps: vec![

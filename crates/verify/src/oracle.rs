@@ -12,7 +12,7 @@
 
 use bdb_common::prelude::*;
 use bdb_datagen::Dataset;
-use bdb_exec::engine::{ExecutionRequest, WorkloadClass};
+use bdb_exec::engine::{element_mix, element_ops, element_payload, ExecutionRequest, WorkloadClass};
 use bdb_testgen::ops::{AggSpec, CompareOp, Operation, ScalarSpec};
 use bdb_testgen::pattern::{InputRef, WorkloadPattern};
 use bdb_workloads::search::PageRankConfig;
@@ -433,82 +433,16 @@ fn kmeans_reference(points: &[Vec<f64>], config: &KMeansConfig, seed: u64) -> Ve
 // Element mixes (YCSB)
 // ---------------------------------------------------------------------
 
-/// Serial replay of the YCSB driver's per-client operation streams. Each
-/// client's stream is independently seeded, an insert allocates from a
-/// contiguous id range, and point reads target only the (never-deleted)
-/// preloaded keys — so the op counts and final key population the
-/// concurrent driver reports are exactly reproducible one client at a
-/// time, without a store.
+/// The kv engine's drive without a store: the prescription's op mix drawn
+/// into the same seeded schedule, counted per class. Inserts take fresh
+/// ids and reads address only preloaded keys, so these counts are what
+/// any correct execution completes, at any client count.
 fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
-    let ops: Vec<&Operation> = req
-        .prescription
-        .pattern
-        .operations()
-        .into_iter()
-        .filter(|o| {
-            matches!(
-                o,
-                Operation::Get { .. }
-                    | Operation::Put { .. }
-                    | Operation::UpdateKey { .. }
-                    | Operation::DeleteKey { .. }
-                    | Operation::ScanRange { .. }
-            )
-        })
-        .collect();
-    if ops.is_empty() {
-        return Err(BdbError::Execution(format!(
-            "oracle needs element operations in prescription {}",
-            req.prescription.name
-        )));
-    }
-    let n = ops.len() as f64;
-    let frac = |pred: fn(&Operation) -> bool| -> f64 {
-        ops.iter().filter(|o| pred(o)).count() as f64 / n
-    };
-    let read = frac(|o| matches!(o, Operation::Get { .. }));
-    let update = frac(|o| matches!(o, Operation::UpdateKey { .. }));
-    let insert = frac(|o| matches!(o, Operation::Put { .. }))
-        + frac(|o| matches!(o, Operation::DeleteKey { .. }));
-    let scan = frac(|o| matches!(o, Operation::ScanRange { .. }));
-
-    let record_count = req.scale;
-    let operation_count = req.scale * 2;
-    let clients = req.config.effective_threads().clamp(1, 8);
-    let per_client = operation_count / clients as u64;
-    let zipf = Zipf::new(record_count.max(1), 0.99f64.max(0.01));
-    let tree = SeedTree::new(req.seed);
-
-    let (mut reads, mut updates, mut inserts, mut scans, mut rmws) = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for client in 0..clients {
-        let mut rng = tree.child_named("run").child(client as u64).rng();
-        for _ in 0..per_client {
-            let u = rng.next_f64();
-            // The driver samples the zipfian key before branching; replay
-            // the draw to keep the per-client stream aligned.
-            let _key = zipf.sample(&mut rng);
-            if u < read {
-                reads += 1;
-            } else if u < read + update {
-                updates += 1;
-            } else if u < read + update + insert {
-                inserts += 1;
-            } else if u < read + update + insert + scan {
-                scans += 1;
-            } else {
-                rmws += 1;
-            }
-        }
-    }
-    Ok(OutputPayload::Numeric(vec![
-        ("final_keys".into(), (record_count + inserts) as f64),
-        ("inserts".into(), inserts as f64),
-        ("read_hits".into(), reads as f64),
-        ("reads".into(), reads as f64),
-        ("rmws".into(), rmws as f64),
-        ("scans".into(), scans as f64),
-        ("updates".into(), updates as f64),
-    ]))
+    let mix = element_mix(req.prescription, req.scale)?;
+    let schedule = mix.schedule(element_ops(req.scale), req.seed)?;
+    Ok(element_payload(req.scale, |class| {
+        schedule.iter().filter(|s| s.op.class() == class).count() as u64
+    }))
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,11 @@
 //! | [`search`] | inverted index ("Nutch indexing" analog), PageRank | search engine domain |
 //! | [`social`] | k-means, connected components | social network domain |
 //! | [`ecommerce`] | naive Bayes, item-based collaborative filtering | e-commerce domain |
-//! | [`oltp`] | YCSB A–F analog operation mixes on the LSM store | online services / Cloud OLTP |
 //! | [`relational`] | Pavlo-benchmark tasks: load, selection, aggregation, join | real-time analytics |
 //! | [`streaming`] | windowed stream analytics at paced arrival rates | real-time analytics |
-//! | [`hybrid`] | Section 5.2 truly-hybrid mixed workload | mixed |
+//!
+//! The Cloud OLTP mixes (YCSB A–F) and the Section 5.2 hybrid workload are
+//! operation mixes on the load driver, `bdb_exec::loadgen`.
 //!
 //! The analytics kernels come in two bindings where Table 2's suites do:
 //! a native in-memory kernel and a MapReduce lowering — the *functional
@@ -21,9 +22,7 @@
 
 pub mod behavioral;
 pub mod ecommerce;
-pub mod hybrid;
 pub mod micro;
-pub mod oltp;
 pub mod relational;
 pub mod search;
 pub mod social;

@@ -1,8 +1,8 @@
 //! E-commerce domain scenario.
 //!
 //! Fits column models to the raw retail table, generates a larger
-//! synthetic table, then runs the domain's workloads: a YCSB-style OLTP
-//! mix on the key-value store, relational queries on the SQL engine, and
+//! synthetic table, then runs the domain's workloads: the YCSB-B op mix
+//! on the key-value store, relational queries on the SQL engine, and
 //! collaborative filtering over purchases.
 //!
 //! ```text
@@ -14,7 +14,8 @@ use bdbench::datagen::table::TableGenerator;
 use bdbench::datagen::veracity;
 use bdbench::prelude::*;
 use bdbench::sql::Engine;
-use bdbench::workloads::{ecommerce, oltp};
+use bdbench::exec::loadgen::{drive_ycsb, OpClass, OpMix};
+use bdbench::workloads::ecommerce;
 
 fn main() -> Result<()> {
     // --- 4V table generation: fit models to the raw orders extract.
@@ -33,14 +34,13 @@ fn main() -> Result<()> {
     );
 
     // --- Cloud OLTP on the KV store (YCSB workload B).
-    let config = oltp::YcsbConfig {
-        record_count: 10_000,
-        operation_count: 30_000,
-        clients: 4,
-        value_size: 100,
-    };
-    let (_, counts, result) = oltp::run_ycsb(&oltp::YcsbSpec::b(), &config, 1);
-    println!("\nYCSB-B: {} reads, {} updates", counts.reads, counts.updates);
+    let mix = OpMix { records: 10_000, ..OpMix::YCSB_B };
+    let (load, result) = drive_ycsb("B", &mix, 30_000, 4, 1)?;
+    println!(
+        "\nYCSB-B: {} reads, {} updates",
+        load.class_latency(OpClass::Get).count(),
+        load.class_latency(OpClass::Put).count()
+    );
     println!("{}", result.report);
 
     // --- Relational queries (real-time analytics).

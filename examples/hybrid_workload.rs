@@ -1,39 +1,30 @@
 //! The Section 5.2 "truly hybrid workload": a weighted mix of OLTP point
-//! operations and analytics queries with controlled arrival patterns,
-//! swept across mix ratios.
+//! operations and analytics queries in one seeded sequence, drained by a
+//! 1-client closed loop and swept across mix ratios.
 //!
 //! ```text
 //! cargo run --release --example hybrid_workload
 //! ```
 
+use bdbench::exec::loadgen::{drive_hybrid, HybridConfig};
 use bdbench::exec::reporter::{fmt_num, TableReporter};
-use bdbench::testgen::arrival::{ArrivalProcess, ArrivalSpec};
-use bdbench::workloads::hybrid::{run_hybrid, HybridConfig};
 
 fn main() -> bdbench::common::Result<()> {
     let mut table = TableReporter::new(
-        "Hybrid workload sweep (Section 5.2)",
+        "Hybrid workload sweep (Section 5.2, 1-client closed loop)",
         &["oltp share", "oltp ops", "olap ops", "oltp p50 us", "olap p50 us", "total ops/s"],
     );
     for oltp_share in [0.99, 0.9, 0.5, 0.1] {
-        let config = HybridConfig {
-            oltp_weight: oltp_share,
-            olap_weight: 1.0 - oltp_share,
-            operations: 2_000,
-            kv_records: 5_000,
-            table_rows: 5_000,
-            arrival: ArrivalSpec::Open {
-                rate_per_sec: 100_000.0,
-                process: ArrivalProcess::Poisson,
-            },
-        };
-        let (outcome, result) = run_hybrid(&config, 7)?;
+        let config =
+            HybridConfig { olap_share: 1.0 - oltp_share, operations: 2_000, records: 5_000 };
+        let result = drive_hybrid(&config, 7)?;
+        let detail = |key| result.detail(key).unwrap_or(0.0);
         table.add_row(&[
             format!("{oltp_share:.2}"),
-            outcome.oltp_ops.to_string(),
-            outcome.olap_ops.to_string(),
-            fmt_num(outcome.oltp_p50_us),
-            fmt_num(outcome.olap_p50_us),
+            detail("oltp_ops").to_string(),
+            detail("olap_ops").to_string(),
+            fmt_num(detail("oltp_p50_us")),
+            fmt_num(detail("olap_p50_us")),
             fmt_num(result.report.user.throughput_ops_per_sec),
         ]);
     }

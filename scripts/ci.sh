@@ -71,12 +71,11 @@ rm -rf "$crash_journal" "$crash_out"
 echo "crash smoke: killed after $checkpoints cell(s), resumed to CONFORMANT"
 
 echo "== conformance gate (golden digests) =="
-# Two seeded runs verified against the committed golden store: a digest
+# Seeded runs verified against the committed golden store: a digest
 # mismatch (any semantics drift in generators, binding or engines) fails
-# CI. Machine-independent prescriptions only — Element-class digests
-# depend on the engine thread count, which `bdbench verify` pins but a
-# plain run does not.
-for prescription in micro/wordcount relational/select-aggregate; do
+# CI.
+for prescription in micro/wordcount relational/select-aggregate \
+                    oltp/read-mostly oltp/scan-heavy; do
     ./target/release/bdbench run "$prescription" --scale 300 --seed 42 \
         --verify=digest --goldens goldens >/dev/null \
         || { echo "conformance gate: $prescription diverged from its golden"; exit 1; }
