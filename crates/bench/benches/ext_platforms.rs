@@ -28,7 +28,7 @@ fn measured_workloads() -> Vec<MetricReport> {
     };
     let graph = RmatGenerator::standard(8.0).generate_graph(1, 12);
     let (points, _) = social::gaussian_mixture(20_000, 5, 8, 2.0, 1);
-    let ycsb = drive_ycsb("B", &OpMix { records: 5_000, ..OpMix::YCSB_B }, 10_000, 2, 1)
+    let ycsb = drive_ycsb(&OpMix { records: 5_000, ..OpMix::YCSB_B }, 10_000, 2, 1)
         .expect("ycsb drive")
         .1;
     vec![

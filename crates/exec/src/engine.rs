@@ -1078,46 +1078,54 @@ impl Engine for KvEngine {
             req,
             "kv",
             "element-mix",
-            || loadgen::drive_ycsb("prescribed", &mix, element_ops(req.scale), clients, req.seed),
+            || loadgen::drive_ycsb(&mix, (req.scale * 2) as usize, clients, req.seed),
             |r| r.as_ref().map_or(0, |(report, _)| report.completed),
         )?;
         // Sessions claim ops from one seeded schedule, so the per-class
         // counts depend only on (mix, records, ops, seed), never on the
         // client count.
-        let payload = element_payload(req.scale, |c| report.class_latency(c).count());
+        let count = |c| report.class_latency(c).count();
+        let payload = OutputPayload::Numeric(vec![
+            ("final_keys".into(), (req.scale + count(OpClass::Insert)) as f64),
+            ("inserts".into(), count(OpClass::Insert) as f64),
+            ("reads".into(), count(OpClass::Get) as f64),
+            ("rmws".into(), count(OpClass::Rmw) as f64),
+            ("scans".into(), count(OpClass::Scan) as f64),
+            ("updates".into(), count(OpClass::Put) as f64),
+        ]);
         Ok(vec![r.with_output(payload)])
     }
 }
 
-/// Operations in the kv engine's drive over `records` preloaded keys.
-pub fn element_ops(records: u64) -> usize {
-    (records * 2) as usize
-}
-
 /// The op mix an element-operation prescription prescribes: one op per
 /// step — gets read, key updates put, puts and deletes insert, range
-/// scans scan up to their limit — over `records` preloaded keys with
-/// Zipf(0.99) popularity.
+/// scans scan up to the first scan step's limit — over `records`
+/// preloaded keys with Zipf(0.99) popularity.
 ///
 /// # Errors
-/// Fails when the prescription has no element operations.
-pub fn element_mix(prescription: &Prescription, records: u64) -> Result<OpMix> {
-    let mut scan_limit = 1;
-    let classes: Vec<OpClass> = prescription
-        .pattern
-        .operations()
-        .into_iter()
-        .filter_map(|o| match o {
-            Operation::Get { .. } => Some(OpClass::Get),
-            Operation::UpdateKey { .. } => Some(OpClass::Put),
-            Operation::Put { .. } | Operation::DeleteKey { .. } => Some(OpClass::Insert),
+/// Fails when the prescription has no element operations or a range
+/// scan with limit 0.
+fn element_mix(prescription: &Prescription, records: u64) -> Result<OpMix> {
+    let mut scan_limit = None;
+    let mut classes = Vec::new();
+    for (step, op) in prescription.pattern.operations().into_iter().enumerate() {
+        classes.push(match op {
+            Operation::Get { .. } => OpClass::Get,
+            Operation::UpdateKey { .. } => OpClass::Put,
+            Operation::Put { .. } | Operation::DeleteKey { .. } => OpClass::Insert,
             Operation::ScanRange { limit, .. } => {
-                scan_limit = *limit as u64;
-                Some(OpClass::Scan)
+                if *limit == 0 {
+                    return Err(BdbError::InvalidConfig(format!(
+                        "prescription {}: ScanRange step {step} has limit 0",
+                        prescription.name
+                    )));
+                }
+                scan_limit.get_or_insert(*limit as u64);
+                OpClass::Scan
             }
-            _ => None,
-        })
-        .collect();
+            _ => continue,
+        });
+    }
     if classes.is_empty() {
         return Err(BdbError::Execution(format!(
             "kv engine needs element operations in prescription {}",
@@ -1134,21 +1142,8 @@ pub fn element_mix(prescription: &Prescription, records: u64) -> Result<OpMix> {
         rmw: 0.0,
         zipf: 0.99,
         records,
-        scan_len: (1, scan_limit + 1),
+        scan_len: (1, scan_limit.unwrap_or(1).saturating_add(1)),
     })
-}
-
-/// The kv engine's canonical answer: ops per class (`count`) and the
-/// final key population of a drive over `records` preloaded keys.
-pub fn element_payload(records: u64, count: impl Fn(OpClass) -> u64) -> OutputPayload {
-    OutputPayload::Numeric(vec![
-        ("final_keys".into(), (records + count(OpClass::Insert)) as f64),
-        ("inserts".into(), count(OpClass::Insert) as f64),
-        ("reads".into(), count(OpClass::Get) as f64),
-        ("rmws".into(), count(OpClass::Rmw) as f64),
-        ("scans".into(), count(OpClass::Scan) as f64),
-        ("updates".into(), count(OpClass::Put) as f64),
-    ])
 }
 
 /// Which binding a behavioral prescription lowers to.
@@ -1339,6 +1334,30 @@ mod tests {
             };
             assert_eq!(digest(1), digest(8), "{name}");
         }
+    }
+
+    #[test]
+    fn element_mix_takes_the_first_scan_limit_and_rejects_zero() {
+        use bdb_testgen::pattern::Step;
+        let scans = |limits: &[usize]| WorkloadPattern::Multi {
+            steps: limits
+                .iter()
+                .enumerate()
+                .map(|(id, &limit)| Step {
+                    id: id as u32,
+                    op: Operation::ScanRange { start_key: "zipfian".into(), limit },
+                    inputs: vec![],
+                })
+                .collect(),
+        };
+        let mut p = prescription("oltp/scan-heavy");
+        p.pattern = scans(&[5, 9]);
+        assert_eq!(element_mix(&p, 10).unwrap().scan_len, (1, 6));
+        p.pattern = scans(&[usize::MAX]);
+        assert_eq!(element_mix(&p, 10).unwrap().scan_len.1, u64::MAX);
+        p.pattern = scans(&[5, 0]);
+        let err = element_mix(&p, 10).unwrap_err().to_string();
+        assert!(err.contains("oltp/scan-heavy") && err.contains("ScanRange step 1"), "{err}");
     }
 
     #[test]

@@ -353,6 +353,22 @@ impl OpMix {
         OpMix { get, put, insert, scan, rmw, zipf: 0.99, records: KEYSPACE, scan_len: (1, 101) }
     }
 
+    /// The YCSB preset this mix is, at any record count (`"A"`..`"F"`),
+    /// or `"prescribed"` for any other mix.
+    fn ycsb_label(&self) -> &'static str {
+        [
+            ("A", Self::YCSB_A),
+            ("B", Self::YCSB_B),
+            ("C", Self::YCSB_C),
+            ("D", Self::YCSB_D),
+            ("E", Self::YCSB_E),
+            ("F", Self::YCSB_F),
+        ]
+        .into_iter()
+        .find(|(_, preset)| OpMix { records: self.records, ..*preset } == *self)
+        .map_or("prescribed", |(label, _)| label)
+    }
+
     fn fractions(&self) -> [f64; 5] {
         [self.get, self.put, self.scan, self.insert, self.rmw]
     }
@@ -848,6 +864,10 @@ struct HybridLoadTarget {
     /// The aggregate's answer on a quiescent engine: the oracle every
     /// analytics op under load must reproduce.
     answer: String,
+    /// Record ops one aggregate performs on that engine (rows scanned and
+    /// produced, group and sort work); the query is deterministic, so
+    /// every run of it costs the same.
+    query_ops: u64,
 }
 
 impl HybridLoadTarget {
@@ -855,11 +875,15 @@ impl HybridLoadTarget {
     /// `uservisits` table generated from `seed`.
     fn new(records: u64, seed: u64) -> Self {
         let mut target = Self {
-            kv: KvLoadTarget::preloaded(LsmConfig::default(), records, 64),
+            kv: KvLoadTarget::preloaded(LsmConfig::default(), records, RECORD_VALUE_SIZE),
             table: relational::uservisits_generator(1000).generate_shard(seed, 0, records),
             answer: String::new(),
+            query_ops: 0,
         };
-        target.answer = target.open().aggregate();
+        let mut session = target.open();
+        let answer = session.aggregate();
+        let query_ops = session.engine.stats().total_ops();
+        (target.answer, target.query_ops) = (answer, query_ops);
         target
     }
 
@@ -1597,8 +1621,8 @@ pub fn run_load_resilient(
     Ok(reports)
 }
 
-/// Value size of YCSB records, bytes.
-const YCSB_VALUE_SIZE: usize = 100;
+/// Value size of the records YCSB and hybrid drives preload, bytes.
+const RECORD_VALUE_SIZE: usize = 64;
 
 /// A passive closed-loop drive of `schedule` on `target` by `clients`
 /// sessions, failing when a sampled answer diverges from the oracle.
@@ -1622,24 +1646,24 @@ fn drive_checked(
 
 /// YCSB on the load driver: `ops` operations drawn from `mix` into one
 /// closed-loop schedule, drained by `clients` sessions against a fresh
-/// store preloaded with `mix.records` records of 100 bytes. The result
-/// is named `oltp/ycsb-{label}`; its op counts and final key population
-/// depend only on `(mix, ops, seed)`.
+/// store preloaded with `mix.records` records of 64 bytes. The result is
+/// named `oltp/ycsb-{A..F}` after the preset the mix is, or
+/// `oltp/ycsb-prescribed`; its op counts and final key population depend
+/// only on `(mix, ops, seed)`.
 ///
 /// # Errors
 /// Fails on an invalid mix, a worker panic, or an oracle divergence.
 pub fn drive_ycsb(
-    label: &str,
     mix: &OpMix,
     ops: usize,
     clients: usize,
     seed: u64,
 ) -> Result<(LoadReport, WorkloadResult)> {
     let schedule = mix.schedule(ops, seed)?;
-    let target = KvLoadTarget::preloaded(LsmConfig::default(), mix.records, YCSB_VALUE_SIZE);
+    let target = KvLoadTarget::preloaded(LsmConfig::default(), mix.records, RECORD_VALUE_SIZE);
     let report = drive_checked(&target, clients, &schedule)?;
     let result = WorkloadResult::assemble(
-        &format!("oltp/ycsb-{label}"),
+        &format!("oltp/ycsb-{}", mix.ycsb_label()),
         "kv",
         WorkloadCategory::OnlineServices,
         report.user_metrics(),
@@ -1693,8 +1717,8 @@ pub fn drive_hybrid(config: &HybridConfig, seed: u64) -> Result<WorkloadResult> 
     let mut oltp_lat = report.class_latency(OpClass::Get).clone();
     oltp_lat.merge(report.class_latency(OpClass::Put));
     let olap_lat = report.class_latency(OpClass::Scan);
-    // Every analytics query scans the whole table.
-    let record_ops = target.kv.store().stats().total_ops() + olap_lat.count() * config.records;
+    let record_ops =
+        target.kv.store().stats().total_ops() + olap_lat.count() * target.query_ops;
     Ok(WorkloadResult::assemble(
         "hybrid/oltp+olap",
         "kv+sql",
@@ -2086,8 +2110,8 @@ mod tests {
     fn ycsb_drive_counts_do_not_depend_on_clients() {
         for (label, mix) in [("A", OpMix::YCSB_A), ("D", OpMix::YCSB_D), ("F", OpMix::YCSB_F)] {
             let mix = OpMix { records: 300, ..mix };
-            let (one, result) = drive_ycsb(label, &mix, 600, 1, 4).unwrap();
-            let (four, _) = drive_ycsb(label, &mix, 600, 4, 4).unwrap();
+            let (one, result) = drive_ycsb(&mix, 600, 1, 4).unwrap();
+            let (four, _) = drive_ycsb(&mix, 600, 4, 4).unwrap();
             for c in OpClass::ALL {
                 assert_eq!(one.class_latency(c).count(), four.class_latency(c).count(), "{c:?}");
             }
@@ -2095,6 +2119,8 @@ mod tests {
             assert_eq!(result.category, WorkloadCategory::OnlineServices);
             assert_eq!(result.report.user.latency_samples, 600);
         }
+        let other = OpMix { scan_len: (1, 11), ..OpMix::YCSB_E };
+        assert_eq!(drive_ycsb(&other, 50, 1, 4).unwrap().1.report.workload, "oltp/ycsb-prescribed");
     }
 
     #[test]
@@ -2117,6 +2143,8 @@ mod tests {
         assert!(d(&a, "olap_p50_us") > d(&a, "oltp_p50_us"), "analytics are the slow class");
         assert_eq!(a.report.workload, "hybrid/oltp+olap");
         assert!(drive_hybrid(&HybridConfig { olap_share: 1.5, ..cfg }, 2).is_err());
+        // An aggregate's measured cost covers more than its table scan.
+        assert!(HybridLoadTarget::new(200, 2).query_ops > 200);
     }
 
     #[test]

@@ -414,13 +414,13 @@ impl BenchmarkSuite for Ycsb {
 
     fn run_workloads(&self, scale: u64, seed: u64) -> Result<Vec<WorkloadResult>> {
         let ops = (scale * 2) as usize;
-        let run = |label: &str, mix: OpMix, seed: u64| -> Result<WorkloadResult> {
-            Ok(loadgen::drive_ycsb(label, &OpMix { records: scale, ..mix }, ops, 2, seed)?.1)
+        let run = |mix: OpMix, seed: u64| -> Result<WorkloadResult> {
+            Ok(loadgen::drive_ycsb(&OpMix { records: scale, ..mix }, ops, 2, seed)?.1)
         };
         Ok(vec![
-            run("A", OpMix::YCSB_A, seed)?,
-            run("B", OpMix::YCSB_B, seed ^ 1)?,
-            run("E", OpMix::YCSB_E, seed ^ 2)?,
+            run(OpMix::YCSB_A, seed)?,
+            run(OpMix::YCSB_B, seed ^ 1)?,
+            run(OpMix::YCSB_E, seed ^ 2)?,
         ])
     }
 }
@@ -813,7 +813,7 @@ impl BenchmarkSuite for CloudSuite {
 
     fn run_workloads(&self, scale: u64, seed: u64) -> Result<Vec<WorkloadResult>> {
         let mix = OpMix { records: scale, ..OpMix::YCSB_B };
-        let ycsb = loadgen::drive_ycsb("B", &mix, (scale * 2) as usize, 2, seed)?.1;
+        let ycsb = loadgen::drive_ycsb(&mix, (scale * 2) as usize, 2, seed)?.1;
         let markov = MarkovTextGenerator::train(&RAW_TEXT_CORPUS)?;
         let docs = text_docs(&markov, seed, scale / 10)?;
         let wc = micro::wordcount_mapreduce(&docs, &small_job()).1;
@@ -897,7 +897,7 @@ impl BenchmarkSuite for BigDataBench {
         out.push(micro::wordcount_native(&docs).1);
         // Cloud OLTP.
         let mix = OpMix { records: scale, ..OpMix::YCSB_A };
-        out.push(loadgen::drive_ycsb("A", &mix, scale as usize, 2, seed)?.1);
+        out.push(loadgen::drive_ycsb(&mix, scale as usize, 2, seed)?.1);
         // Relational queries.
         let (mut tasks, _) = relational::PavloTasks::load(scale / 4, scale, seed)?;
         out.push(tasks.selection(20)?.1);

@@ -7,12 +7,13 @@
 //! never the engine's execution path. Relational DAGs run through a
 //! straight-line interpreter over `Vec<Record>`; graph kernels use
 //! union-find and a from-scratch power iteration instead of CSR
-//! label propagation; the YCSB mix is replayed serially, client stream
-//! by client stream, instead of on concurrent threads over the LSM.
+//! label propagation; the kv op mix is re-derived from the prescription
+//! and its seeded draw replayed serially and counted, instead of driven
+//! by concurrent clients over the LSM.
 
 use bdb_common::prelude::*;
 use bdb_datagen::Dataset;
-use bdb_exec::engine::{element_mix, element_ops, element_payload, ExecutionRequest, WorkloadClass};
+use bdb_exec::engine::{ExecutionRequest, WorkloadClass};
 use bdb_testgen::ops::{AggSpec, CompareOp, Operation, ScalarSpec};
 use bdb_testgen::pattern::{InputRef, WorkloadPattern};
 use bdb_workloads::search::PageRankConfig;
@@ -433,16 +434,70 @@ fn kmeans_reference(points: &[Vec<f64>], config: &KMeansConfig, seed: u64) -> Ve
 // Element mixes (YCSB)
 // ---------------------------------------------------------------------
 
-/// The kv engine's drive without a store: the prescription's op mix drawn
-/// into the same seeded schedule, counted per class. Inserts take fresh
-/// ids and reads address only preloaded keys, so these counts are what
-/// any correct execution completes, at any client count.
+/// Serial replay of the kv engine's drive, without a store. Each element
+/// step is one op of the mix: gets read, key updates update, puts and
+/// deletes insert, range scans scan up to the first scan's limit.
+/// `2 × scale` ops are drawn from the seed's `loadgen` stream: a uniform
+/// class draw over consecutive slices in the order read, update, scan,
+/// insert (a draw past the last slice, by rounding, takes the last class
+/// present), then a Zipf(0.99) key for a read or update, or a uniform
+/// start and length for a scan. Inserts take fresh ids and reads address
+/// only preloaded keys, so these counts are what any correct execution
+/// completes, at any client count.
 fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
-    let mix = element_mix(req.prescription, req.scale)?;
-    let schedule = mix.schedule(element_ops(req.scale), req.seed)?;
-    Ok(element_payload(req.scale, |class| {
-        schedule.iter().filter(|s| s.op.class() == class).count() as u64
-    }))
+    // Steps, then drawn ops, per class: read, update, scan, insert.
+    let mut steps = [0u64; 4];
+    let mut scan_limit = None;
+    for op in req.prescription.pattern.operations() {
+        let class = match op {
+            Operation::Get { .. } => 0,
+            Operation::UpdateKey { .. } => 1,
+            Operation::ScanRange { limit, .. } => {
+                scan_limit.get_or_insert(*limit as u64);
+                2
+            }
+            Operation::Put { .. } | Operation::DeleteKey { .. } => 3,
+            _ => continue,
+        };
+        steps[class] += 1;
+    }
+    let total: u64 = steps.iter().sum();
+    if total == 0 || scan_limit == Some(0) || req.scale == 0 {
+        return Err(BdbError::Execution(format!(
+            "oracle needs element operations, scan limits above 0 and records in prescription {}",
+            req.prescription.name
+        )));
+    }
+    let mut acc = 0.0;
+    let bounds = steps.map(|n| {
+        acc += n as f64 / total as f64;
+        acc
+    });
+    let last = (0..4).rev().find(|c| steps[*c] > 0).unwrap_or(0);
+    let records = req.scale;
+    let zipf = Zipf::new(records, 0.99);
+    let mut rng = SeedTree::new(req.seed).child_named("loadgen").rng();
+    let mut counts = [0u64; 4];
+    for _ in 0..records * 2 {
+        let u = rng.next_f64();
+        let class = (0..4).find(|c| steps[*c] > 0 && u < bounds[*c]).unwrap_or(last);
+        counts[class] += 1;
+        if class < 2 {
+            zipf.sample(&mut rng);
+        } else if class == 2 {
+            rng.next_bounded(records);
+            rng.next_bounded(scan_limit.unwrap_or(1));
+        }
+    }
+    let [reads, updates, scans, inserts] = counts.map(|n| n as f64);
+    Ok(OutputPayload::Numeric(vec![
+        ("final_keys".into(), records as f64 + inserts),
+        ("inserts".into(), inserts),
+        ("reads".into(), reads),
+        ("rmws".into(), 0.0),
+        ("scans".into(), scans),
+        ("updates".into(), updates),
+    ]))
 }
 
 // ---------------------------------------------------------------------

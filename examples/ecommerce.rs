@@ -35,7 +35,7 @@ fn main() -> Result<()> {
 
     // --- Cloud OLTP on the KV store (YCSB workload B).
     let mix = OpMix { records: 10_000, ..OpMix::YCSB_B };
-    let (load, result) = drive_ycsb("B", &mix, 30_000, 4, 1)?;
+    let (load, result) = drive_ycsb(&mix, 30_000, 4, 1)?;
     println!(
         "\nYCSB-B: {} reads, {} updates",
         load.class_latency(OpClass::Get).count(),
