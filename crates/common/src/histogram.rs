@@ -224,13 +224,21 @@ impl LogHistogram {
     }
 
     /// Approximate quantile: the arithmetic midpoint `lo + (hi - lo) / 2` of
-    /// the power-of-two bucket `[lo, hi)` containing the q-th sample, so the
-    /// estimate can be off by up to half the bucket width. It is not clamped
-    /// to the observed `[min, max]`.
+    /// the power-of-two bucket `[lo, hi)` containing the q-th sample,
+    /// clamped to the recorded `[min, max]`, so the estimate can be off by
+    /// up to half the bucket width but never leaves the data.
+    /// `quantile(0.0)` is exactly the minimum and `quantile(1.0)` exactly
+    /// the maximum.
     pub fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.count == 0 {
             return 0;
+        }
+        if q == 0.0 {
+            return self.min;
+        }
+        if q == 1.0 {
+            return self.max;
         }
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
         let mut acc = 0u64;
@@ -239,7 +247,7 @@ impl LogHistogram {
             if acc >= target {
                 let lo = if i == 0 { 0u64 } else { 1u64 << i };
                 let hi = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-                return lo + (hi - lo) / 2;
+                return (lo + (hi - lo) / 2).clamp(self.min, self.max);
             }
         }
         self.max
@@ -408,7 +416,27 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(0);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile(0.5), 1); // midpoint of [0,2)
+        assert_eq!(h.quantile(0.5), 0); // [0,2)'s midpoint 1, clamped to the max
+    }
+
+    #[test]
+    fn log_histogram_quantiles_stay_within_the_data() {
+        // Regression: three samples of 1000 reported p50 = 768, the
+        // midpoint of bucket [512, 1024), below every sample.
+        let mut h = LogHistogram::new();
+        for _ in 0..3 {
+            h.record(1000);
+        }
+        assert_eq!(h.quantile(0.5), 1000);
+        assert_eq!(h.quantile(0.99), 1000);
+        // The endpoints are the recorded extremes, not bucket midpoints.
+        let mut g = LogHistogram::new();
+        for x in [1100, 1500, 1900] {
+            g.record(x);
+        }
+        assert_eq!(g.quantile(0.0), 1100);
+        assert_eq!(g.quantile(0.5), 1536);
+        assert_eq!(g.quantile(1.0), 1900);
     }
 
     #[test]

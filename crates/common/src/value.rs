@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -120,16 +121,45 @@ impl Value {
     }
 }
 
-impl PartialEq for Value {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp_values(other) == Some(Ordering::Equal)
-    }
-}
-
 impl Value {
-    /// Total ordering across comparable values; `None` when the variants are
-    /// incomparable (e.g. Text vs Int). NULL compares equal to NULL and less
-    /// than everything else, matching the sort semantics of the SQL engine.
+    /// The rank of the value's type in [`Value::total_cmp`]: the
+    /// declaration order, with `Int` and `Float` sharing one numeric rank.
+    fn type_rank(&self) -> u8 {
+        match self {
+            Value::Null => 0,
+            Value::Int(_) | Value::Float(_) => 1,
+            Value::Text(_) => 2,
+            Value::Bool(_) => 3,
+            Value::Timestamp(_) => 4,
+        }
+    }
+
+    /// The one total order every engine, binding and oracle sorts, groups
+    /// and joins by; `Eq`, `Ord` and `Hash` all follow it.
+    ///
+    /// `Null` ranks lowest. `Int` and `Float` compare by exact numeric
+    /// value (`Int(1) == Float(1.0)`, `-0.0 == 0.0`); every NaN equals every
+    /// other NaN and ranks above all numbers. Values of types that
+    /// [`Value::cmp_values`] cannot compare order by type rank: `Null`,
+    /// numbers, `Text`, `Bool`, `Timestamp`.
+    pub fn total_cmp(&self, other: &Value) -> Ordering {
+        use Value::*;
+        match (self, other) {
+            (Int(a), Int(b)) | (Timestamp(a), Timestamp(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(b),
+            _ => self.type_rank().cmp(&other.type_rank()),
+        }
+    }
+
+    /// SQL comparison semantics, for predicates: `None` when the variants
+    /// are incomparable (e.g. Text vs Int), which the SQL engine reports as
+    /// a type mismatch. NULL compares equal to NULL and less than
+    /// everything else. Sorting, grouping and joining use
+    /// [`Value::total_cmp`] instead.
     pub fn cmp_values(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {
@@ -144,6 +174,62 @@ impl Value {
             (Text(a), Text(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+}
+
+/// 2^63: the least float above every `i64`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `Int(a)` against `Float(b)` by exact value, without rounding `a` to a
+/// float; NaN ranks above every integer.
+fn cmp_int_float(a: i64, b: f64) -> Ordering {
+    if b.is_nan() || b >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    let whole = b.trunc();
+    a.cmp(&(whole as i64))
+        .then_with(|| whole.partial_cmp(&b).expect("b is finite"))
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.total_cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Value {}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+/// Agrees with `Eq`: an integral float in `i64` range hashes as the `Int`
+/// it equals, `-0.0` as `0`, and every NaN alike.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.type_rank());
+        match self {
+            Value::Null => {}
+            Value::Int(i) | Value::Timestamp(i) => i.hash(state),
+            Value::Float(f) if f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(f) => {
+                (*f as i64).hash(state);
+            }
+            Value::Float(f) if f.is_nan() => f64::NAN.to_bits().hash(state),
+            Value::Float(f) => f.to_bits().hash(state),
+            Value::Text(s) => s.hash(state),
+            Value::Bool(b) => b.hash(state),
         }
     }
 }
@@ -300,6 +386,7 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -345,6 +432,95 @@ mod tests {
     #[test]
     fn incomparable_values() {
         assert_eq!(Value::Int(1).cmp_values(&Value::Text("1".into())), None);
+    }
+
+    #[test]
+    fn total_order_pins_nan_zero_and_mixed_numbers() {
+        let nan = Value::Float(f64::NAN);
+        assert_ne!(nan, Value::Float(1.0));
+        assert_eq!(nan, Value::Float(-f64::NAN));
+        assert!(nan > Value::Float(f64::INFINITY) && nan > Value::Int(i64::MAX));
+        assert_eq!(Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&Value::Int(0)));
+        assert_eq!(hash_of(&Value::Int(1)), hash_of(&Value::Float(1.0)));
+        // Exact, not rounded through f64: 2^53 + 1 is no float.
+        assert!(Value::Int((1 << 53) + 1) > Value::Float(9_007_199_254_740_992.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(TWO_POW_63));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-TWO_POW_63));
+        // Types cmp_values cannot compare order by type rank.
+        assert_ne!(Value::Int(5), Value::Timestamp(5));
+        assert!(Value::Null < Value::Int(i64::MIN));
+        assert!(Value::Float(f64::NAN) < Value::Text(String::new()));
+        assert!(Value::Text("z".into()) < Value::Bool(false));
+        assert!(Value::Bool(true) < Value::Timestamp(i64::MIN));
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-3i64..4).prop_map(Value::Int),
+            // The same small numbers as floats, so Int/Float ties are common.
+            (-3i64..4).prop_map(|i| Value::Float(i as f64)),
+            (-6i32..7).prop_map(|x| Value::Float(f64::from(x) / 2.0)),
+            prop_oneof![
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(TWO_POW_63),
+                Just(-TWO_POW_63),
+            ]
+            .prop_map(Value::Float),
+            prop_oneof![Just(i64::MAX), Just(i64::MIN), any::<i64>()].prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+            (-3i64..4).prop_map(Value::Timestamp),
+            "[a-c]{0,2}".prop_map(Value::Text),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    /// True when `cmp_values` is exact for the pair: no NaN, and every
+    /// `Int` within ±2^53, where `i64 as f64` does not round.
+    fn cmp_values_is_exact(v: &Value) -> bool {
+        match v {
+            Value::Float(f) => !f.is_nan(),
+            Value::Int(i) => i.unsigned_abs() <= 1 << 53,
+            _ => true,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn total_cmp_is_a_total_order_that_hash_agrees_with(
+            a in arb_value(), b in arb_value(), c in arb_value()
+        ) {
+            prop_assert_eq!(a.total_cmp(&a), Ordering::Equal);
+            let (ab, bc, ac) = (a.total_cmp(&b), b.total_cmp(&c), a.total_cmp(&c));
+            prop_assert_eq!(b.total_cmp(&a), ab.reverse());
+            if ab == bc || bc == Ordering::Equal {
+                prop_assert_eq!(ac, ab, "{:?} {:?} {:?}", a, b, c);
+            }
+            if ab == Ordering::Equal {
+                prop_assert_eq!(ac, bc, "{:?} {:?} {:?}", a, b, c);
+            }
+            if a == b {
+                prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+            }
+            if cmp_values_is_exact(&a) && cmp_values_is_exact(&b) {
+                if let Some(ord) = a.cmp_values(&b) {
+                    prop_assert_eq!(ab, ord, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
     }
 
     #[test]

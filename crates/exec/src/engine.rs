@@ -693,17 +693,30 @@ impl EngineRegistry {
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// The canonical row-set payload of a bound execution: the sorted output
-/// rows with every value stringified, comparable across engines and
-/// against the reference oracle.
+/// The row-set payload of a bound execution: the output rows, in engine
+/// order, with every value stringified. A row set is a multiset, so it is
+/// not sorted here: its canonical lines are, for the digest and the diff.
 fn table_payload(bound: &BoundExecution) -> OutputPayload {
     OutputPayload::RowSet(
         bound
-            .sorted_rows()
-            .into_iter()
+            .output
+            .rows()
+            .iter()
             .map(|row| row.iter().map(std::string::ToString::to_string).collect())
             .collect(),
     )
+}
+
+/// The request's table data sets, cloned into the map a
+/// [`PatternExecutor`] takes.
+fn table_inputs(req: &ExecutionRequest<'_>) -> BTreeMap<String, Table> {
+    req.datasets
+        .iter()
+        .filter_map(|(k, v)| match v {
+            Dataset::Table(t) => Some((k.clone(), t.clone())),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Run a table-pattern binding and assemble the uniform result, emitting
@@ -713,14 +726,7 @@ fn execute_table_binding(
     engine: &'static str,
     req: &ExecutionRequest<'_>,
 ) -> Result<Vec<WorkloadResult>> {
-    let tables: BTreeMap<String, Table> = req
-        .datasets
-        .iter()
-        .filter_map(|(k, v)| match v {
-            Dataset::Table(t) => Some((k.clone(), t.clone())),
-            _ => None,
-        })
-        .collect();
+    let tables = table_inputs(req);
     if tables.is_empty() {
         return Err(BdbError::Execution(format!(
             "engine {engine} needs a table data set for prescription {}",
@@ -1037,14 +1043,7 @@ impl Engine for SqlEngine {
     /// the SQL engine reports its optimizer's own estimate to the router
     /// instead of relying on the static table.
     fn estimate_cost(&self, req: &ExecutionRequest<'_>) -> Option<f64> {
-        let tables: BTreeMap<String, Table> = req
-            .datasets
-            .iter()
-            .filter_map(|(k, v)| match v {
-                Dataset::Table(t) => Some((k.clone(), t.clone())),
-                _ => None,
-            })
-            .collect();
+        let tables = table_inputs(req);
         if tables.is_empty() {
             return None;
         }

@@ -61,29 +61,6 @@ pub struct Executor<'a> {
     stats: ExecStats,
 }
 
-/// A hashable key for grouping/joining on `Value`s.
-///
-/// Floats are keyed by bit pattern: within one engine run the same float
-/// value always produces the same bits, which is all grouping needs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum HashKey {
-    Null,
-    Int(i64),
-    Bits(u64),
-    Text(String),
-    Bool(bool),
-}
-
-fn hash_key(v: &Value) -> HashKey {
-    match v {
-        Value::Null => HashKey::Null,
-        Value::Int(i) | Value::Timestamp(i) => HashKey::Int(*i),
-        Value::Float(f) => HashKey::Bits(f.to_bits()),
-        Value::Text(s) => HashKey::Text(s.clone()),
-        Value::Bool(b) => HashKey::Bool(*b),
-    }
-}
-
 impl<'a> Executor<'a> {
     /// An executor over `catalog`.
     pub fn new(catalog: &'a Catalog) -> Self {
@@ -162,13 +139,13 @@ impl<'a> Executor<'a> {
                     } else {
                         (&right_rows, &left_rows, rk, lk, false)
                     };
-                let mut table: HashMap<HashKey, Vec<&Record>> = HashMap::new();
+                let mut table: HashMap<&Value, Vec<&Record>> = HashMap::new();
                 for r in build_rows {
                     if r[build_idx].is_null() {
                         continue; // NULL never joins
                     }
                     self.stats.hash_build_rows += 1;
-                    table.entry(hash_key(&r[build_idx])).or_default().push(r);
+                    table.entry(&r[build_idx]).or_default().push(r);
                 }
                 let mut out = Vec::new();
                 for probe in probe_rows {
@@ -176,7 +153,7 @@ impl<'a> Executor<'a> {
                     if probe[probe_idx].is_null() {
                         continue;
                     }
-                    if let Some(matches) = table.get(&hash_key(&probe[probe_idx])) {
+                    if let Some(matches) = table.get(&probe[probe_idx]) {
                         for build in matches {
                             let mut row =
                                 Vec::with_capacity(build.len() + probe.len());
@@ -217,41 +194,36 @@ impl<'a> Executor<'a> {
                             .transpose()
                     })
                     .collect::<Result<_>>()?;
-                // Group states keyed by the grouping values.
-                let mut groups: HashMap<Vec<HashKey>, (Record, Vec<AggState>)> = HashMap::new();
+                // Group states keyed by the grouping values; a group's key is
+                // its first row's values.
+                let new_states = || -> Vec<AggState> {
+                    aggregates.iter().map(|(f, _, _)| AggState::new(*f)).collect()
+                };
+                let mut groups: HashMap<Vec<&Value>, Vec<AggState>> = HashMap::new();
                 for r in &rows {
                     self.stats.hash_build_rows += 1;
-                    let key: Vec<HashKey> =
-                        group_idx.iter().map(|&i| hash_key(&r[i])).collect();
-                    let entry = groups.entry(key).or_insert_with(|| {
-                        let reps: Record =
-                            group_idx.iter().map(|&i| r[i].clone()).collect();
-                        let states = aggregates
-                            .iter()
-                            .map(|(f, _, _)| AggState::new(*f))
-                            .collect();
-                        (reps, states)
-                    });
-                    for (state, idx) in entry.1.iter_mut().zip(&agg_idx) {
+                    let key: Vec<&Value> = group_idx.iter().map(|&i| &r[i]).collect();
+                    let states = groups.entry(key).or_insert_with(new_states);
+                    for (state, idx) in states.iter_mut().zip(&agg_idx) {
                         let v = idx.map(|i| &r[i]);
                         state.update(v);
                     }
                 }
                 // A global aggregate over zero rows still yields one row.
                 if groups.is_empty() && group_idx.is_empty() {
-                    let states: Vec<AggState> =
-                        aggregates.iter().map(|(f, _, _)| AggState::new(*f)).collect();
-                    groups.insert(Vec::new(), (Vec::new(), states));
+                    groups.insert(Vec::new(), new_states());
                 }
                 let mut out: Vec<Record> = groups
-                    .into_values()
-                    .map(|(mut reps, states)| {
-                        reps.extend(states.into_iter().map(AggState::finish));
-                        reps
+                    .into_iter()
+                    .map(|(key, states)| {
+                        key.into_iter()
+                            .cloned()
+                            .chain(states.into_iter().map(AggState::finish))
+                            .collect()
                     })
                     .collect();
                 // Deterministic output order for tests and reports.
-                out.sort_by(|a, b| compare_records(a, b, &mut 0));
+                out.sort();
                 self.stats.rows_produced += out.len() as u64;
                 Ok(out)
             }
@@ -271,10 +243,7 @@ impl<'a> Executor<'a> {
                 rows.sort_by(|a, b| {
                     for &(i, desc) in &key_idx {
                         comparisons += 1;
-                        let ord = a[i]
-                            .cmp_values(&b[i])
-                            .unwrap_or(std::cmp::Ordering::Equal);
-                        let ord = if desc { ord.reverse() } else { ord };
+                        let ord = if desc { b[i].cmp(&a[i]) } else { a[i].cmp(&b[i]) };
                         if ord != std::cmp::Ordering::Equal {
                             return ord;
                         }
@@ -293,16 +262,6 @@ impl<'a> Executor<'a> {
             }
         }
     }
-}
-
-fn compare_records(a: &Record, b: &Record, _c: &mut u64) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        match x.cmp_values(y) {
-            Some(std::cmp::Ordering::Equal) | None => continue,
-            Some(ord) => return ord,
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 /// Streaming aggregate accumulator.
@@ -359,24 +318,18 @@ impl AggState {
                     *n += 1;
                 }
             }
+            // Of equal values, MIN keeps the first and MAX the last, as
+            // `Iterator::min` and `Iterator::max` do.
             AggState::Min(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null()
-                        && cur.as_ref().is_none_or(|c| {
-                            val.cmp_values(c) == Some(std::cmp::Ordering::Less)
-                        })
-                    {
+                if let Some(val) = v.filter(|val| !val.is_null()) {
+                    if cur.as_ref().is_none_or(|c| val < c) {
                         *cur = Some(val.clone());
                     }
                 }
             }
             AggState::Max(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null()
-                        && cur.as_ref().is_none_or(|c| {
-                            val.cmp_values(c) == Some(std::cmp::Ordering::Greater)
-                        })
-                    {
+                if let Some(val) = v.filter(|val| !val.is_null()) {
+                    if cur.as_ref().is_none_or(|c| val >= c) {
                         *cur = Some(val.clone());
                     }
                 }

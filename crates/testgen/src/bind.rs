@@ -46,18 +46,10 @@ pub struct BoundExecution {
 }
 
 impl BoundExecution {
-    /// Output rows sorted canonically, for cross-engine comparison.
+    /// Output rows in `Value`'s total order, for cross-engine comparison.
     pub fn sorted_rows(&self) -> Vec<Record> {
         let mut rows = self.output.rows().to_vec();
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                match x.cmp_values(y) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        rows.sort();
         rows
     }
 }
@@ -325,11 +317,8 @@ impl SqlBinding {
             }
             Operation::IntersectOn { column } => {
                 // Semi-join: keep left rows whose key appears on the right.
-                let rk: std::collections::BTreeSet<String> = inputs[1]
-                    .column(column)?
-                    .iter()
-                    .map(Value::to_string)
-                    .collect();
+                let rk: std::collections::BTreeSet<Value> =
+                    inputs[1].column(column)?.into_iter().collect();
                 let idx = inputs[0]
                     .schema()
                     .index_of(column)
@@ -337,7 +326,7 @@ impl SqlBinding {
                 let rows: Vec<Record> = inputs[0]
                     .rows()
                     .iter()
-                    .filter(|r| rk.contains(&r[idx].to_string()))
+                    .filter(|r| rk.contains(&r[idx]))
                     .cloned()
                     .collect();
                 Table::from_rows(inputs[0].schema().clone(), rows)
@@ -485,32 +474,6 @@ pub struct MapReduceBinding {
 }
 
 
-/// A totally ordered wrapper over `Value` usable as a MapReduce key.
-#[derive(Debug, Clone, PartialEq)]
-struct OrdValue(Value);
-
-impl Eq for OrdValue {}
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .cmp_values(&other.0)
-            .unwrap_or_else(|| format!("{}", self.0).cmp(&format!("{}", other.0)))
-    }
-}
-
-impl std::hash::Hash for OrdValue {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        format!("{}", self.0).hash(state);
-    }
-}
-
 impl MapReduceBinding {
     fn run_step(&self, op: &Operation, inputs: Vec<&Table>) -> Result<(Table, u64)> {
         let cfg = &self.config;
@@ -576,8 +539,8 @@ impl MapReduceBinding {
                 let r = run_job(
                     &single,
                     rows,
-                    move |row: &Record, emit| emit(OrdValue(row[idx].clone()), row.clone()),
-                    |_k: &OrdValue, vs: Vec<Record>, out| {
+                    move |row: &Record, emit| emit(row[idx].clone(), row.clone()),
+                    |_k: &Value, vs: Vec<Record>, out| {
                         for v in vs {
                             out(v);
                         }
@@ -623,8 +586,8 @@ impl MapReduceBinding {
                 let r = run_job(
                     cfg,
                     rows,
-                    move |row: &Record, emit| emit(OrdValue(row[idx].clone()), ()),
-                    |k: &OrdValue, _vs: Vec<()>, out| out(vec![k.0.clone()]),
+                    move |row: &Record, emit| emit(row[idx].clone(), ()),
+                    |k: &Value, _vs: Vec<()>, out| out(vec![k.clone()]),
                 );
                 Ok((
                     Table::from_rows(Schema::new(vec![field]), r.outputs)?,
@@ -667,9 +630,9 @@ impl MapReduceBinding {
                     tagged,
                     move |(tag, row): &(u8, Record), emit| {
                         let key = if *tag == 0 { &row[idx0] } else { &row[idx1] };
-                        emit(OrdValue(key.clone()), (*tag, row.clone()));
+                        emit(key.clone(), (*tag, row.clone()));
                     },
-                    |_k: &OrdValue, vs: Vec<(u8, Record)>, out| {
+                    |_k: &Value, vs: Vec<(u8, Record)>, out| {
                         let right_present = vs.iter().any(|(t, _)| *t == 1);
                         if right_present {
                             for (t, row) in vs {
@@ -733,8 +696,7 @@ impl MapReduceBinding {
             &self.config,
             rows,
             move |row: &Record, emit| {
-                let key: Vec<OrdValue> =
-                    gi.iter().map(|&i| OrdValue(row[i].clone())).collect();
+                let key: Record = gi.iter().map(|&i| row[i].clone()).collect();
                 // Carry (value, count) so AVG composes.
                 let payload = match col_idx {
                     Some(i) => (row[i].clone(), 1u64),
@@ -742,7 +704,7 @@ impl MapReduceBinding {
                 };
                 emit(key, payload);
             },
-            move |key: &Vec<OrdValue>, vs: Vec<(Value, u64)>, out| {
+            move |key: &Record, vs: Vec<(Value, u64)>, out| {
                 let agg = match function {
                     AggSpec::Count => Value::Int(
                         vs.iter()
@@ -769,37 +731,23 @@ impl MapReduceBinding {
                             Value::Float(xs.iter().sum::<f64>() / xs.len() as f64)
                         }
                     }
-                    AggSpec::Min => vs
-                        .iter()
-                        .map(|(v, _)| v)
-                        .filter(|v| !v.is_null())
-                        .min_by(|a, b| OrdValue((*a).clone()).cmp(&OrdValue((*b).clone())))
-                        .cloned()
-                        .unwrap_or(Value::Null),
-                    AggSpec::Max => vs
-                        .iter()
-                        .map(|(v, _)| v)
-                        .filter(|v| !v.is_null())
-                        .max_by(|a, b| OrdValue((*a).clone()).cmp(&OrdValue((*b).clone())))
-                        .cloned()
-                        .unwrap_or(Value::Null),
+                    AggSpec::Min => {
+                        let vals = vs.iter().map(|(v, _)| v).filter(|v| !v.is_null());
+                        vals.min().cloned().unwrap_or(Value::Null)
+                    }
+                    AggSpec::Max => {
+                        let vals = vs.iter().map(|(v, _)| v).filter(|v| !v.is_null());
+                        vals.max().cloned().unwrap_or(Value::Null)
+                    }
                 };
-                let mut row: Record = key.iter().map(|k| k.0.clone()).collect();
+                let mut row = key.clone();
                 row.push(agg);
                 out(row);
             },
         );
         let mut rows = r.outputs;
         // Deterministic order, matching the SQL engine's aggregate output.
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                match x.cmp_values(y) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        rows.sort();
         Ok((
             Table::from_rows(out_schema, rows)?,
             r.counters.total_record_ops(),
@@ -849,10 +797,10 @@ impl MapReduceBinding {
             move |(tag, row): &(u8, Record), emit| {
                 let key = if *tag == 0 { &row[li] } else { &row[ri] };
                 if !key.is_null() {
-                    emit(OrdValue(key.clone()), (*tag, row.clone()));
+                    emit(key.clone(), (*tag, row.clone()));
                 }
             },
-            |_k: &OrdValue, vs: Vec<(u8, Record)>, out| {
+            |_k: &Value, vs: Vec<(u8, Record)>, out| {
                 let (lefts, rights): (Vec<_>, Vec<_>) =
                     vs.into_iter().partition(|(t, _)| *t == 0);
                 for (_, l) in &lefts {

@@ -3,7 +3,7 @@
 //!
 //! Each oracle re-derives the result an engine should have produced,
 //! sharing only the low-level substrate that *defines* the semantics
-//! (the seeded RNG tree, `Value` comparison, the generated data sets) —
+//! (the seeded RNG tree, `Value`'s total order, the generated data sets) —
 //! never the engine's execution path. Relational DAGs run through a
 //! straight-line interpreter over `Vec<Record>`; graph kernels use
 //! union-find and a from-scratch power iteration instead of CSR
@@ -504,30 +504,6 @@ fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
 // Relational DAGs
 // ---------------------------------------------------------------------
 
-/// `Value` with the engines' shared total order: `cmp_values`, falling
-/// back to the display-string order for incomparable pairs.
-#[derive(Debug, Clone)]
-struct OrdVal(Value);
-
-impl Ord for OrdVal {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .cmp_values(&other.0)
-            .unwrap_or_else(|| self.0.to_string().cmp(&other.0.to_string()))
-    }
-}
-impl PartialOrd for OrdVal {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl PartialEq for OrdVal {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for OrdVal {}
-
 /// An intermediate relation: named columns over plain rows.
 #[derive(Debug, Clone)]
 struct Rel {
@@ -671,11 +647,10 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
             let idx = rel.col(column)?;
             let mut rows = rel.rows.clone();
             rows.sort_by(|a, b| {
-                let ord = OrdVal(a[idx].clone()).cmp(&OrdVal(b[idx].clone()));
                 if *descending {
-                    ord.reverse()
+                    b[idx].cmp(&a[idx])
                 } else {
-                    ord
+                    a[idx].cmp(&b[idx])
                 }
             });
             Ok(Rel { cols: rel.cols.clone(), rows })
@@ -684,7 +659,7 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
             let rel = one()?;
             let idx = rel.col(column)?;
             let mut rows = rel.rows.clone();
-            rows.sort_by(|a, b| OrdVal(b[idx].clone()).cmp(&OrdVal(a[idx].clone())));
+            rows.sort_by(|a, b| b[idx].cmp(&a[idx]));
             rows.truncate(*k);
             Ok(Rel { cols: rel.cols.clone(), rows })
         }
@@ -698,11 +673,10 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
         Operation::Distinct { column } => {
             let rel = one()?;
             let idx = rel.col(column)?;
-            let distinct: BTreeSet<OrdVal> =
-                rel.rows.iter().map(|row| OrdVal(row[idx].clone())).collect();
+            let distinct: BTreeSet<&Value> = rel.rows.iter().map(|row| &row[idx]).collect();
             Ok(Rel {
                 cols: vec![column.clone()],
-                rows: distinct.into_iter().map(|v| vec![v.0]).collect(),
+                rows: distinct.into_iter().map(|v| vec![v.clone()]).collect(),
             })
         }
         Operation::Aggregate { function, column, group_by } => {
@@ -711,9 +685,9 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
             let ci = column.as_ref().map(|c| rel.col(c)).transpose()?;
             // Group in input-row order so float accumulation matches the
             // engines' single-pass reducers bit for bit.
-            let mut groups: BTreeMap<Vec<OrdVal>, Vec<Value>> = BTreeMap::new();
+            let mut groups: BTreeMap<Vec<&Value>, Vec<Value>> = BTreeMap::new();
             for row in &rel.rows {
-                let key: Vec<OrdVal> = gi.iter().map(|&i| OrdVal(row[i].clone())).collect();
+                let key: Vec<&Value> = gi.iter().map(|&i| &row[i]).collect();
                 let v = match ci {
                     Some(i) => row[i].clone(),
                     None => Value::Int(1),
@@ -743,20 +717,14 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
                             Value::Float(xs.iter().sum::<f64>() / xs.len() as f64)
                         }
                     }
-                    AggSpec::Min => vs
-                        .iter()
-                        .filter(|v| !v.is_null())
-                        .min_by(|a, b| OrdVal((*a).clone()).cmp(&OrdVal((*b).clone())))
-                        .cloned()
-                        .unwrap_or(Value::Null),
-                    AggSpec::Max => vs
-                        .iter()
-                        .filter(|v| !v.is_null())
-                        .max_by(|a, b| OrdVal((*a).clone()).cmp(&OrdVal((*b).clone())))
-                        .cloned()
-                        .unwrap_or(Value::Null),
+                    AggSpec::Min => {
+                        vs.iter().filter(|v| !v.is_null()).min().cloned().unwrap_or(Value::Null)
+                    }
+                    AggSpec::Max => {
+                        vs.iter().filter(|v| !v.is_null()).max().cloned().unwrap_or(Value::Null)
+                    }
                 };
-                let mut row: Record = key.into_iter().map(|k| k.0).collect();
+                let mut row: Record = key.into_iter().cloned().collect();
                 row.push(agg);
                 rows.push(row);
             }
@@ -768,10 +736,10 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
             let (left, right) = two()?;
             let li = left.col(left_on)?;
             let ri = right.col(right_on)?;
-            let mut by_key: BTreeMap<OrdVal, Vec<&Record>> = BTreeMap::new();
+            let mut by_key: BTreeMap<&Value, Vec<&Record>> = BTreeMap::new();
             for row in &right.rows {
                 if !row[ri].is_null() {
-                    by_key.entry(OrdVal(row[ri].clone())).or_default().push(row);
+                    by_key.entry(&row[ri]).or_default().push(row);
                 }
             }
             let mut rows = Vec::new();
@@ -779,7 +747,7 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
                 if lrow[li].is_null() {
                     continue;
                 }
-                if let Some(matches) = by_key.get(&OrdVal(lrow[li].clone())) {
+                if let Some(matches) = by_key.get(&lrow[li]) {
                     for rrow in matches {
                         let mut row = lrow.clone();
                         row.extend(rrow.iter().cloned());
@@ -805,12 +773,11 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
             let (left, right) = two()?;
             let li = left.col(column)?;
             let ri = right.col(column)?;
-            let keys: BTreeSet<String> =
-                right.rows.iter().map(|row| row[ri].to_string()).collect();
+            let keys: BTreeSet<&Value> = right.rows.iter().map(|row| &row[ri]).collect();
             let rows = left
                 .rows
                 .iter()
-                .filter(|row| keys.contains(&row[li].to_string()))
+                .filter(|row| keys.contains(&row[li]))
                 .cloned()
                 .collect();
             Ok(Rel { cols: left.cols.clone(), rows })

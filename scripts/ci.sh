@@ -82,6 +82,22 @@ for prescription in micro/wordcount relational/select-aggregate \
     echo "conformance gate: $prescription matches its golden digest"
 done
 
+echo "== oracle gate (strict verify at the golden seed) =="
+# The whole verification matrix at the committed goldens' scale and seed,
+# in strict mode: every cell's payload is diffed against the reference
+# oracle and its digest compared with the committed golden. The sweep
+# must only read the store, never rewrite it.
+verify_out=$(mktemp)
+./target/release/bdbench verify --scale 300 --seed 42 --goldens goldens >"$verify_out" \
+    || { echo "oracle gate: strict verify failed or diverged"; cat "$verify_out"; exit 1; }
+grep -q "^33 cells, 33 passed: CONFORMANT$" "$verify_out" \
+    || { echo "oracle gate: expected 33 cells, 33 passed: CONFORMANT"; cat "$verify_out"; exit 1; }
+rm -f "$verify_out"
+if [ -n "$(git status --porcelain goldens)" ]; then
+    echo "oracle gate: strict verify changed the golden store"; git status --porcelain goldens; exit 1
+fi
+echo "oracle gate: 33 cells CONFORMANT against the oracle and the committed goldens"
+
 echo "== adaptive routing smoke (two-pass verify, shared observed costs) =="
 # The full verification matrix swept twice under --routing adaptive with
 # one observed-cost store shared across passes: both passes must be

@@ -36,6 +36,15 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, f64)>> {
     )
 }
 
+/// Extra rows whose float is NaN or a signed zero: values an order must
+/// rank (NaN above every number) and equate (`-0.0 == 0.0`) consistently.
+fn arb_special_rows() -> impl Strategy<Value = Vec<(i64, i64, f64)>> {
+    prop::collection::vec(
+        (-20i64..20, 0i64..5, prop_oneof![Just(f64::NAN), Just(-0.0), Just(0.0)]),
+        0..8,
+    )
+}
+
 fn arb_op() -> impl Strategy<Value = Operation> {
     prop_oneof![
         ( -20i64..20, prop_oneof![
@@ -46,6 +55,7 @@ fn arb_op() -> impl Strategy<Value = Operation> {
         }),
         Just(Operation::Count),
         Just(Operation::Distinct { column: "g".into() }),
+        Just(Operation::Distinct { column: "v".into() }),
         (1usize..10).prop_map(|k| Operation::TopK { column: "v".into(), k }),
         prop_oneof![
             Just(AggSpec::Count), Just(AggSpec::Sum), Just(AggSpec::Avg),
@@ -57,17 +67,42 @@ fn arb_op() -> impl Strategy<Value = Operation> {
         }),
         Just(Operation::Project { columns: vec!["g".into(), "v".into()] }),
         Just(Operation::SortBy { column: "k".into(), descending: false }),
+        Just(Operation::SortBy { column: "v".into(), descending: true }),
     ]
+}
+
+#[test]
+fn int_key_column_joins_float_key_column_of_equal_value() {
+    let column = |data_type, v: fn(i64) -> Value| {
+        let rows = (0..3).map(|i| vec![v(i)]).collect();
+        Table::from_rows(Schema::new(vec![Field::new("k", data_type)]), rows).unwrap()
+    };
+    let mut datasets = BTreeMap::new();
+    datasets.insert("ints".to_string(), column(DataType::Int, Value::Int));
+    datasets.insert("floats".to_string(), column(DataType::Float, |i| Value::Float(i as f64)));
+    let pattern = WorkloadPattern::Multi {
+        steps: vec![Step {
+            id: 0,
+            op: Operation::Join { left_on: "k".into(), right_on: "k".into() },
+            inputs: vec![InputRef::Dataset("ints".into()), InputRef::Dataset("floats".into())],
+        }],
+    };
+    let sql = SqlBinding.execute(&pattern, &datasets).unwrap();
+    let mr = MapReduceBinding::default().execute(&pattern, &datasets).unwrap();
+    assert_eq!(sql.output.len(), 3);
+    assert_eq!(sql.sorted_rows(), mr.sorted_rows());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sql_and_mapreduce_agree_on_any_single_op(rows in arb_rows(), op in arb_op()) {
+    fn sql_and_mapreduce_agree_on_any_single_op(
+        rows in arb_rows(), specials in arb_special_rows(), op in arb_op()
+    ) {
         let is_topk = matches!(op, Operation::TopK { .. });
         let mut datasets = BTreeMap::new();
-        datasets.insert("t".to_string(), table_from_rows(&rows));
+        datasets.insert("t".to_string(), table_from_rows(&[rows, specials].concat()));
         let pattern = WorkloadPattern::Single { op, input: "t".into() };
         let sql = SqlBinding.execute(&pattern, &datasets).unwrap();
         let mr = MapReduceBinding { config: JobConfig { map_tasks: 3, reduce_tasks: 2, workers: 2 } }
@@ -76,19 +111,19 @@ proptest! {
         if is_topk {
             // Ties at the k-th rank legitimately admit different row
             // choices; the ranking-column values must still agree.
-            let vs = |t: &bdbench::common::record::Table| -> Vec<i64> {
+            let vs = |t: &Table| -> Vec<Value> {
                 let idx = t.schema().index_of("v").unwrap();
-                let mut v: Vec<i64> = t
-                    .rows()
-                    .iter()
-                    .map(|r| (r[idx].as_f64().unwrap() * 4.0) as i64)
-                    .collect();
-                v.sort_unstable();
+                let mut v: Vec<Value> = t.rows().iter().map(|r| r[idx].clone()).collect();
+                v.sort();
                 v
             };
             prop_assert_eq!(vs(&sql.output), vs(&mr.output));
         } else {
             prop_assert_eq!(sql.sorted_rows(), mr.sorted_rows());
+        }
+        let sorted = sql.sorted_rows();
+        for pair in sorted.windows(2) {
+            prop_assert!(pair[0] <= pair[1], "{:?} sorts after {:?}", pair[0], pair[1]);
         }
     }
 
